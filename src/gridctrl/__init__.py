@@ -7,178 +7,4 @@ the placements through DC-OPF / security-constrained OPF (opf).  The cli
 module fronts all of it.
 """
 
-from .netmodel import (
-    MATPOWER_SUBSET,
-    NATIVE_JSON,
-    UNLIMITED,
-    Bus,
-    CaseFormatError,
-    Generator,
-    Line,
-    Load,
-    Network,
-    Violation,
-    connected_components,
-    merge_parallel_lines,
-    parse_case,
-    serialize_case,
-    validate,
-)
-from .dcsens import (
-    ControllabilityVector,
-    DisconnectedNetworkError,
-    InjectionProfile,
-    LodfMatrix,
-    PtdfMatrix,
-    SusceptanceMatrices,
-    apply_hvdc,
-    build_susceptance,
-    cv,
-    dc_flow,
-    is_bridge,
-    lodf,
-    ptdf,
-    remove_line,
-    tcsc_sensitivity,
-)
-from .bounds import (
-    BoundsReport,
-    FixedFlowResult,
-    IncidenceSystem,
-    bounds,
-    controllability_rank,
-    incidence_matrix,
-    incidence_system,
-    matrix_rank,
-    solve_fixed_flows,
-)
-from .simplex import (
-    LpProblem,
-    LpResult,
-    SimplexNumericalError,
-    SimplexStallError,
-    solve_lp,
-)
-from .place_cv import (
-    CandidateRow,
-    MetricRow,
-    PlacementState,
-    VolumeScore,
-    conical_log_volume,
-    first_placement,
-    initial_state,
-    metric_report,
-    orthant_volume_sum,
-    orthogonality,
-    place_next,
-    rank_by_norm1,
-    run_cv_placement,
-    spearman,
-)
-from .place_lp import (
-    ComparisonRow,
-    DeltaStrategy,
-    EffortResult,
-    compare_placements,
-    control_effort,
-    place_lp_next,
-    run_lp_placement,
-)
-from .opf import (
-    CosCurve,
-    CosReport,
-    CurvePoint,
-    Dispatch,
-    InfeasibleError,
-    OpfSolution,
-    cos_curve,
-    cost_of_security,
-    dc_opf,
-    default_contingencies,
-    sc_opf,
-)
-from .cases import case_names, case_path, load_case
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "MATPOWER_SUBSET",
-    "NATIVE_JSON",
-    "UNLIMITED",
-    "Bus",
-    "BoundsReport",
-    "CandidateRow",
-    "CaseFormatError",
-    "ComparisonRow",
-    "ControllabilityVector",
-    "CosCurve",
-    "CosReport",
-    "CurvePoint",
-    "DeltaStrategy",
-    "DisconnectedNetworkError",
-    "Dispatch",
-    "EffortResult",
-    "FixedFlowResult",
-    "Generator",
-    "IncidenceSystem",
-    "InfeasibleError",
-    "InjectionProfile",
-    "Line",
-    "Load",
-    "LodfMatrix",
-    "LpProblem",
-    "LpResult",
-    "MetricRow",
-    "Network",
-    "OpfSolution",
-    "PlacementState",
-    "PtdfMatrix",
-    "SimplexNumericalError",
-    "SimplexStallError",
-    "SusceptanceMatrices",
-    "Violation",
-    "VolumeScore",
-    "apply_hvdc",
-    "bounds",
-    "build_susceptance",
-    "case_names",
-    "case_path",
-    "compare_placements",
-    "conical_log_volume",
-    "connected_components",
-    "control_effort",
-    "controllability_rank",
-    "cos_curve",
-    "cost_of_security",
-    "cv",
-    "dc_flow",
-    "dc_opf",
-    "default_contingencies",
-    "first_placement",
-    "incidence_matrix",
-    "incidence_system",
-    "initial_state",
-    "is_bridge",
-    "load_case",
-    "lodf",
-    "matrix_rank",
-    "merge_parallel_lines",
-    "metric_report",
-    "orthant_volume_sum",
-    "orthogonality",
-    "parse_case",
-    "place_lp_next",
-    "place_next",
-    "ptdf",
-    "rank_by_norm1",
-    "remove_line",
-    "run_cv_placement",
-    "run_lp_placement",
-    "sc_opf",
-    "serialize_case",
-    "solve_fixed_flows",
-    "solve_lp",
-    "spearman",
-    "tcsc_sensitivity",
-    "validate",
-]

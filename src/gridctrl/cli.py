@@ -12,6 +12,7 @@ uses Python's shortest-round-trip float form.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -58,17 +59,58 @@ class DomainInfeasible(Exception):
     """Domain-side infeasibility; reported as 'infeasible: ...' with exit 1."""
 
 
-def _fmt(x: float) -> str:
-    """CSV number form: 12 significant digits, minus-zero normalized."""
-    if isinstance(x, float) and math.isnan(x):
-        return "nan"
-    if x == 0:
-        x = abs(x)
-    return format(float(x), ".12g")
+# --------------------------------------------------------------------------
+# output
+
+# CSV float form, applied to x + 0.0 so that -0.0 prints as 0
+_FLOAT = "%.12g"
 
 
-def _pair_str(pair: tuple[int, int]) -> str:
-    return f"{pair[0]}-{pair[1]}"
+def _cell(x) -> str:
+    """CSV cell: a float in _FLOAT form, None empty, a node pair as M-N,
+    anything else by str."""
+    if isinstance(x, float):
+        return _FLOAT % (x + 0.0)
+    if x is None:
+        return ""
+    if isinstance(x, tuple):
+        return f"{x[0]}-{x[1]}"
+    return str(x)
+
+
+def _matrix_rows(columns, line_ids, values: np.ndarray):
+    """A line_id header over ``columns``, then each line's id and row of
+    ``values``, the row formatted whole as one cell."""
+    yield "line_id", ",".join(columns)
+    fmt = ",".join([_FLOAT] * values.shape[1])
+    for lid, row in zip(line_ids, values):
+        yield lid, fmt % tuple((row + 0.0).tolist())
+
+
+@contextlib.contextmanager
+def _sink(path: str | None):
+    """The file at ``path``, or stdout when no path is given.
+
+    Commands open it only once they have their result, so an error raised
+    before that leaves no output and no file behind.
+    """
+    if path:
+        with open(path, "w") as fh:
+            yield fh
+    else:
+        yield sys.stdout
+
+
+def _write_csv(path: str | None, rows) -> None:
+    with _sink(path) as fh:
+        for row in rows:
+            fh.write(",".join(map(_cell, row)) + "\n")
+
+
+def _write_json(path: str | None, obj, indent=2, separators=None) -> None:
+    with _sink(path) as fh:
+        json.dump(obj, fh, indent=indent, separators=separators)
+        fh.write("\n")
 
 
 def _parse_pair(text: str) -> tuple[int, int]:
@@ -92,7 +134,8 @@ def _parse_fix(text: str) -> tuple[int, float]:
         raise CliError(f"expected integer line id and MW value, got '{text}'") from None
 
 
-def _load(args) -> Network:
+def _parse(args) -> Network:
+    """The case as read: format from --format, or by extension under auto."""
     path = Path(args.case)
     try:
         text = path.read_text()
@@ -101,24 +144,18 @@ def _load(args) -> Network:
     fmt = args.format
     if fmt == "auto":
         fmt = MATPOWER_SUBSET if path.suffix == ".m" else NATIVE_JSON
-    net = parse_case(text, fmt)
+    return parse_case(text, fmt)
+
+
+def _load(args) -> Network:
+    """The parsed case, rejected on any violation, parallel lines merged."""
+    net = _parse(args)
     violations = validate(net)
     if violations:
         raise CliError(
             "case failed validation: "
             + "; ".join(f"[{v.code}] {v.message}" for v in violations))
     return merge_parallel_lines(net)
-
-
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
-
-
-def _emit(args, text: str) -> None:
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
 
 
 def _nominal_injection(net: Network) -> InjectionProfile:
@@ -152,23 +189,13 @@ def _strategy(args) -> DeltaStrategy:
 
 
 def _cmd_validate(args) -> int:
-    path = Path(args.case)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise CliError(f"cannot read case file: {exc}") from exc
-    fmt = args.format
-    if fmt == "auto":
-        fmt = MATPOWER_SUBSET if path.suffix == ".m" else NATIVE_JSON
-    net = parse_case(text, fmt)
-    violations = validate(net)
+    violations = validate(_parse(args))
     if args.output == "json":
-        _emit(args, _json_text([{"code": v.code, "message": v.message}
-                                for v in violations]))
+        _write_json(args.out, [{"code": v.code, "message": v.message}
+                               for v in violations])
     else:
-        lines = ["code,message"]
-        lines += [f"{v.code},\"{v.message}\"" for v in violations]
-        _emit(args, "\n".join(lines) + "\n")
+        _write_csv(args.out, [("code", "message")]
+                   + [(v.code, f"\"{v.message}\"") for v in violations])
     if violations:
         print(f"error: case has {len(violations)} violation(s)", file=sys.stderr)
         return 2
@@ -179,17 +206,15 @@ def _cmd_ptdf(args) -> int:
     net = _load(args)
     mat = ptdf(net)
     if args.output == "json":
-        _emit(args, _json_text({
+        _write_json(args.out, {
             "slack_bus": net.slack_id,
             "bus_ids": list(mat.bus_ids),
             "line_ids": list(mat.line_ids),
-            "values": [[float(x) for x in row] for row in mat.values],
-        }))
+            "values": mat.values.tolist(),
+        })
         return 0
-    header = "line_id," + ",".join(f"bus_{b}" for b in mat.bus_ids)
-    rows = [f"{lid}," + ",".join(_fmt(x) for x in mat.values[k])
-            for k, lid in enumerate(mat.line_ids)]
-    _emit(args, "\n".join([header] + rows) + "\n")
+    _write_csv(args.out, _matrix_rows((f"bus_{b}" for b in mat.bus_ids),
+                                      mat.line_ids, mat.values))
     return 0
 
 
@@ -203,24 +228,22 @@ def _cmd_cv(args) -> int:
         pairs = [(m, n) for i, m in enumerate(order) for n in order[i + 1:]]
     else:
         pairs = [args.pair]
-    vecs = []
-    for m, n in pairs:
+    cols = np.empty((len(mat.line_ids), len(pairs)))
+    for j, (m, n) in enumerate(pairs):
         if m not in mat.bus_ids or n not in mat.bus_ids:
             raise CliError(f"unknown bus in pair {m},{n}")
         if m == n:
             raise CliError("pair buses must be distinct")
-        vecs.append(cv(mat, m, n).values)
+        cols[:, j] = cv(mat, m, n).values
     if args.output == "json":
-        _emit(args, _json_text({
+        _write_json(args.out, {
             "line_ids": list(mat.line_ids),
             "pairs": [list(p) for p in pairs],
-            "values": [[float(x) for x in v] for v in vecs],
-        }))
+            "values": cols.T.tolist(),
+        })
         return 0
-    header = "line_id," + ",".join(f"cv_{m}_{n}" for m, n in pairs)
-    rows = [f"{lid}," + ",".join(_fmt(v[k]) for v in vecs)
-            for k, lid in enumerate(mat.line_ids)]
-    _emit(args, "\n".join([header] + rows) + "\n")
+    _write_csv(args.out, _matrix_rows((f"cv_{m}_{n}" for m, n in pairs),
+                                      mat.line_ids, cols))
     return 0
 
 
@@ -228,32 +251,29 @@ def _cmd_lodf(args) -> int:
     net = _load(args)
     dist = lodf(net)
     if args.output == "json":
-        values = [[None if math.isnan(x) else float(x) for x in row]
-                  for row in dist.values]
-        _emit(args, _json_text({
+        values = [[None if math.isnan(x) else x for x in row]
+                  for row in dist.values.tolist()]
+        _write_json(args.out, {
             "line_ids": list(dist.line_ids),
             "islanded": list(dist.islanded),
             "values": values,
-        }))
+        })
         return 0
-    header = "line_id," + ",".join(f"out_{lid}" for lid in dist.line_ids)
-    rows = [f"{lid}," + ",".join(_fmt(x) for x in dist.values[k])
-            for k, lid in enumerate(dist.line_ids)]
-    _emit(args, "\n".join([header] + rows) + "\n")
+    _write_csv(args.out, _matrix_rows((f"out_{lid}" for lid in dist.line_ids),
+                                      dist.line_ids, dist.values))
     return 0
 
 
 def _cmd_bounds(args) -> int:
     net = _load(args)
     rep = bounds_op(net)
-    if args.output == "csv":
-        _emit(args, "series_bound,parallel_bound,ptdf_rank\n"
-                    f"{rep.series_bound},{rep.parallel_bound},{rep.ptdf_rank}\n")
-        return 0
     payload = {"series_bound": rep.series_bound,
                "parallel_bound": rep.parallel_bound,
                "ptdf_rank": rep.ptdf_rank}
-    _emit(args, json.dumps(payload, separators=(",", ":")) + "\n")
+    if args.output == "csv":
+        _write_csv(args.out, [payload.keys(), payload.values()])
+    else:
+        _write_json(args.out, payload, indent=None, separators=(",", ":"))
     return 0
 
 
@@ -271,25 +291,24 @@ def _cmd_fix_flows(args) -> int:
         res = solve_fixed_flows(net, inj, fixed)
     except KeyError as exc:
         raise CliError(str(exc.args[0])) from exc
-    line_ids = [ln.id for ln in net.lines_in_service]
+    flows = []
+    if res.status == "unique":
+        flows = [(ln.id, float(res.flows[k] * net.base_mva))
+                 for k, ln in enumerate(net.lines_in_service)]
     if args.output == "json":
         payload: dict = {"status": res.status}
         if res.status == "unique":
-            payload["flows"] = [
-                {"line_id": lid, "flow_mw": float(res.flows[k] * net.base_mva)}
-                for k, lid in enumerate(line_ids)]
+            payload["flows"] = [{"line_id": lid, "flow_mw": mw} for lid, mw in flows]
         elif res.status == "underdetermined":
             payload["freedom"] = res.freedom
-        _emit(args, _json_text(payload))
+        _write_json(args.out, payload)
         return 0
-    lines = [f"status,{res.status}"]
+    rows = [("status", res.status)]
     if res.status == "unique":
-        lines.append("line_id,flow_mw")
-        lines += [f"{lid},{_fmt(res.flows[k] * net.base_mva)}"
-                  for k, lid in enumerate(line_ids)]
+        rows += [("line_id", "flow_mw"), *flows]
     elif res.status == "underdetermined":
-        lines.append(f"freedom,{res.freedom}")
-    _emit(args, "\n".join(lines) + "\n")
+        rows.append(("freedom", res.freedom))
+    _write_csv(args.out, rows)
     return 0
 
 
@@ -307,20 +326,18 @@ def _cmd_place_cv(args) -> int:
                  "dimension": r.score.dimension,
                  "log_volume": r.score.log_volume,
                  "selected": r.selected} for r in rows]})
-        _emit(args, _json_text({
-            "placements": [list(p) for p in placements], "steps": steps}))
+        _write_json(args.out, {
+            "placements": [list(p) for p in placements], "steps": steps})
         return 0
-    out = ["placement,pair"]
-    out += [f"{i},{_pair_str(p)}" for i, p in enumerate(placements, start=1)]
-    out.append("")
-    out.append("step,pair,cos_phi,dimension,log_volume,selected")
-    for si, rows in enumerate(tables, start=1):
-        for r in rows:
-            cos_txt = "" if r.cos_phi is None else _fmt(r.cos_phi)
-            out.append(f"{si},{_pair_str(r.pair)},{cos_txt},"
-                       f"{r.score.dimension},{_fmt(r.score.log_volume)},"
-                       f"{int(r.selected)}")
-    _emit(args, "\n".join(out) + "\n")
+    _write_csv(args.out, [
+        ("placement", "pair"),
+        *enumerate(placements, start=1),
+        (),
+        ("step", "pair", "cos_phi", "dimension", "log_volume", "selected"),
+        *((si, r.pair, r.cos_phi, r.score.dimension, r.score.log_volume,
+           int(r.selected))
+          for si, rows in enumerate(tables, start=1) for r in rows),
+    ])
     return 0
 
 
@@ -339,6 +356,7 @@ def _cmd_place_lp(args) -> int:
             return None
         return 100.0 * r.total_effort / worst
 
+    lp_count = sum(r.lp_count for _p, r in final)
     if args.output == "json":
         steps = []
         for rows in tables:
@@ -346,22 +364,20 @@ def _cmd_place_lp(args) -> int:
                 {"pair": list(p), "total_effort_mw": r.total_effort,
                  "infeasible_sets": r.infeasible_sets, "lp_count": r.lp_count}
                 for p, r in rows])
-        _emit(args, _json_text({
+        _write_json(args.out, {
             "placements": [list(p) for p in placements],
             "steps": steps,
-            "lp_count": sum(r.lp_count for _p, r in final),
-        }))
+            "lp_count": lp_count,
+        })
         return 0
-    out = ["placement,pair"]
-    out += [f"{i},{_pair_str(p)}" for i, p in enumerate(placements, start=1)]
-    out.append("")
-    out.append("pair,total_effort_mw,relative_percent,infeasible_sets,lp_count")
-    for p, r in final:
-        rel_txt = "" if rel(r) is None else _fmt(rel(r))
-        out.append(f"{_pair_str(p)},{_fmt(r.total_effort)},{rel_txt},"
-                   f"{r.infeasible_sets},{r.lp_count}")
-    out.append(f"lp_count={sum(r.lp_count for _p, r in final)}")
-    _emit(args, "\n".join(out) + "\n")
+    _write_csv(args.out, [
+        ("placement", "pair"),
+        *enumerate(placements, start=1),
+        (),
+        ("pair", "total_effort_mw", "relative_percent", "infeasible_sets", "lp_count"),
+        *((p, r.total_effort, rel(r), r.infeasible_sets, r.lp_count) for p, r in final),
+        (f"lp_count={lp_count}",),
+    ])
     return 0
 
 
@@ -375,14 +391,12 @@ def _cmd_compare(args) -> int:
                                         p_dc_max=args.pdc_max)
     rows = compare_placements(cv_placements, lp_placements)
     if args.output == "json":
-        _emit(args, _json_text([
+        _write_json(args.out, [
             {"step": r.step, "cv_pair": list(r.cv_pair),
-             "lp_pair": list(r.lp_pair), "agree": r.agree} for r in rows]))
+             "lp_pair": list(r.lp_pair), "agree": r.agree} for r in rows])
         return 0
-    out = ["step,cv_pair,lp_pair,agree"]
-    out += [f"{r.step},{_pair_str(r.cv_pair)},{_pair_str(r.lp_pair)},{int(r.agree)}"
-            for r in rows]
-    _emit(args, "\n".join(out) + "\n")
+    _write_csv(args.out, [("step", "cv_pair", "lp_pair", "agree")]
+               + [(r.step, r.cv_pair, r.lp_pair, int(r.agree)) for r in rows])
     return 0
 
 
@@ -406,36 +420,39 @@ def _solution_payload(net: Network, sol) -> dict:
     return payload
 
 
-def _solution_csv(net: Network, sol) -> str:
-    out = [f"status,{sol.status}"]
-    if sol.status != "optimal":
-        return "\n".join(out) + "\n"
-    out.append(f"cost,{_fmt(sol.cost)}")
-    out.append("")
-    out.append("gen,bus,p_mw")
-    for i, (g, p) in enumerate(zip(net.generators, sol.dispatch.p_gen), start=1):
-        out.append(f"{i},{g.bus},{_fmt(p)}")
-    out.append("")
-    out.append("line_id,flow_mw")
-    out += [f"{lid},{_fmt(f)}" for lid, f in zip(sol.line_ids, sol.flows)]
-    if sol.hvdc_base:
-        out.append("")
-        out.append("hvdc,p_mw")
-        out += [f"{j + 1},{_fmt(x)}" for j, x in enumerate(sol.hvdc_base)]
-    if sol.hvdc_contingency:
-        out.append("")
-        out.append("contingency," + ",".join(
-            f"hvdc_{j + 1}" for j in range(len(sol.hvdc_base))))
-        for cid, vec in sorted(sol.hvdc_contingency.items()):
-            out.append(f"{cid}," + ",".join(_fmt(x) for x in vec))
-    return "\n".join(out) + "\n"
+def _solution_rows(payload: dict):
+    """The CSV form of ``_solution_payload``: blocks split by blank rows."""
+    yield "status", payload["status"]
+    if payload["status"] != "optimal":
+        return
+    yield "cost", payload["cost"]
+    yield ()
+    yield "gen", "bus", "p_mw"
+    for i, d in enumerate(payload["dispatch"], start=1):
+        yield i, d["bus"], d["p_mw"]
+    yield ()
+    yield "line_id", "flow_mw"
+    for f in payload["flows"]:
+        yield f["line_id"], f["flow_mw"]
+    base = payload.get("hvdc_base_mw", [])
+    if base:
+        yield ()
+        yield "hvdc", "p_mw"
+        yield from enumerate(base, start=1)
+    if "hvdc_contingency_mw" in payload:
+        # one cell after the id, so rows keep their ',' with no HVDC columns
+        yield ()
+        yield "contingency", ",".join(f"hvdc_{j}" for j in range(1, len(base) + 1))
+        for c in payload["hvdc_contingency_mw"]:
+            yield c["contingency"], ",".join(map(_cell, c["p_mw"]))
 
 
-def _emit_solution(args, net: Network, sol) -> int:
+def _write_solution(args, net: Network, sol) -> int:
+    payload = _solution_payload(net, sol)
     if args.output == "json":
-        _emit(args, _json_text(_solution_payload(net, sol)))
+        _write_json(args.out, payload)
     else:
-        _emit(args, _solution_csv(net, sol))
+        _write_csv(args.out, _solution_rows(payload))
     if sol.status != "optimal":
         raise DomainInfeasible("no dispatch satisfies the constraints")
     return 0
@@ -446,7 +463,7 @@ def _cmd_opf(args) -> int:
     placements = [tuple(p) for p in args.place or []]
     sol = opf_mod.dc_opf(net, placements, p_dc_max=args.pdc_max,
                          n_segments=args.segments)
-    return _emit_solution(args, net, sol)
+    return _write_solution(args, net, sol)
 
 
 def _cmd_sc_opf(args) -> int:
@@ -459,37 +476,29 @@ def _cmd_sc_opf(args) -> int:
                              n_segments=args.segments)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    return _emit_solution(args, net, sol)
+    return _write_solution(args, net, sol)
 
 
 def _cmd_cos_curve(args) -> int:
     net = _load(args)
     conts = args.contingency if args.contingency else None
-    strategy = _strategy(args)
-    try:
-        curve = opf_mod.cos_curve(net, args.max, algorithm=args.algorithm,
-                                  contingencies=conts, mode=args.mode,
-                                  strategy=strategy, p_dc_max=args.pdc_max,
-                                  n_segments=args.segments)
-    except opf_mod.InfeasibleError as exc:
-        raise DomainInfeasible(str(exc)) from exc
+    curve = opf_mod.cos_curve(net, args.max, algorithm=args.algorithm,
+                              contingencies=conts, mode=args.mode,
+                              strategy=_strategy(args), p_dc_max=args.pdc_max,
+                              n_segments=args.segments)
     if args.dat:
-        dat = ["# controllers cos_percent"]
-        dat += [f"{pt.count} {_fmt(pt.cos_percent)}" for pt in curve.points]
-        Path(args.dat).write_text("\n".join(dat) + "\n")
+        _write_csv(args.dat, [("# controllers cos_percent",)]
+                   + [(f"{pt.count} {_cell(pt.cos_percent)}",) for pt in curve.points])
     if args.output == "json":
-        _emit(args, _json_text([
+        _write_json(args.out, [
             {"count": pt.count,
              "pair": list(pt.pair) if pt.pair else None,
              "cos_percent": pt.cos_percent, "cos_abs": pt.cos_abs}
-            for pt in curve.points]))
+            for pt in curve.points])
         return 0
-    out = ["count,pair_m,pair_n,cos_percent,cos_abs"]
-    for pt in curve.points:
-        m = pt.pair[0] if pt.pair else ""
-        n = pt.pair[1] if pt.pair else ""
-        out.append(f"{pt.count},{m},{n},{_fmt(pt.cos_percent)},{_fmt(pt.cos_abs)}")
-    _emit(args, "\n".join(out) + "\n")
+    _write_csv(args.out, [("count", "pair_m", "pair_n", "cos_percent", "cos_abs")]
+               + [(pt.count, *(pt.pair or ("", "")), pt.cos_percent, pt.cos_abs)
+                  for pt in curve.points])
     return 0
 
 
@@ -616,19 +625,20 @@ def _cmd_metrics(args) -> int:
     net = _load(args)
     rows, rho = metric_report(ptdf(net))
     if args.output == "json":
-        _emit(args, _json_text({
+        _write_json(args.out, {
             "spearman_rho": rho,
             "rows": [{"pair": list(r.pair), "norm1": r.norm1,
                       "log_volume": r.score.log_volume,
                       "dimension": r.score.dimension,
                       "rank_norm1": r.rank_norm1,
-                      "rank_volume": r.rank_volume} for r in rows]}))
+                      "rank_volume": r.rank_volume} for r in rows]})
         return 0
-    out = ["pair,norm1,log_volume,dimension,rank_norm1,rank_volume"]
-    out += [f"{_pair_str(r.pair)},{_fmt(r.norm1)},{_fmt(r.score.log_volume)},"
-            f"{r.score.dimension},{r.rank_norm1},{r.rank_volume}" for r in rows]
-    out.append(f"spearman_rho={_fmt(rho)}")
-    _emit(args, "\n".join(out) + "\n")
+    _write_csv(args.out, [
+        ("pair", "norm1", "log_volume", "dimension", "rank_norm1", "rank_volume"),
+        *((r.pair, r.norm1, r.score.log_volume, r.score.dimension, r.rank_norm1,
+           r.rank_volume) for r in rows),
+        (f"spearman_rho={_cell(rho)}",),
+    ])
     return 0
 
 
@@ -637,27 +647,17 @@ def run(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except CliError as exc:
+    except (CliError, CaseFormatError, SimplexStallError, SimplexNumericalError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except DomainInfeasible as exc:
+    except (DomainInfeasible, opf_mod.InfeasibleError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 1
-    except opf_mod.InfeasibleError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return 1
-    except CaseFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, KeyError) as exc:
+        # args[0] rather than str(exc), which quotes a KeyError's message
         msg = exc.args[0] if exc.args else exc
         print(f"error: {msg}", file=sys.stderr)
-        return 2
-    except (SimplexStallError, SimplexNumericalError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

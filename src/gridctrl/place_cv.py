@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dcsens import PtdfMatrix, cv
-from ._parallel import ordered_map
 
 VOLUME_EPS = 1e-9
 COS_THRESHOLD = 0.2
@@ -194,8 +193,7 @@ def place_next(state: PlacementState, mat: PtdfMatrix
     qualifying = qualifying[:state.candidate_cap]
 
     selected_vecs = [state.basis[:, k] for k in range(state.basis.shape[1])]
-    scores = list(ordered_map(
-        lambda item: orthant_volume_sum(selected_vecs, item[1]), qualifying))
+    scores = [orthant_volume_sum(selected_vecs, item[1]) for item in qualifying]
     best = max(range(len(qualifying)),
                key=lambda i: (scores[i], tuple(-c for c in qualifying[i][0])))
     pair, vec, _ = qualifying[best]

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import ordered_map
 from .dcsens import PtdfMatrix, cv
 from .netmodel import Network
 from .simplex import LpProblem, SimplexNumericalError, solve_lp
@@ -154,7 +153,7 @@ def place_lp_next(net: Network, mat: PtdfMatrix,
         return EffortResult(total_effort=total, infeasible_sets=infeasible,
                             lp_count=len(target_sets))
 
-    results = list(ordered_map(score, pairs))
+    results = [score(pair) for pair in pairs]
     ranked = sorted(zip(pairs, results),
                     key=lambda item: (item[1].all_infeasible, item[1].total_effort, item[0]))
     return ranked

@@ -87,7 +87,7 @@ CRITERIA = {
     8: "security premium falls to zero within nine controllers and stays there",
     9: "conical volumes match hull-volume oracles and pick the exhaustive argmax",
     10: "volume ranking correlates with the 1-norm ranking above rho = 0.5",
-    11: "every CLI subcommand is byte-identical across repeated threaded runs",
+    11: "every CLI subcommand is byte-identical across repeated runs",
 }
 
 _outcomes: dict[int, bool] = {}

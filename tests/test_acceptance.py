@@ -7,7 +7,6 @@ must stay in step with ``conftest.CRITERIA``.
 
 import itertools
 import math
-import os
 import subprocess
 import sys
 import time
@@ -89,8 +88,7 @@ def test_c04_tcsc_sensitivity_vs_finite_differences(fixture10):
     assert time.perf_counter() - t0 < 10.0
 
 
-def test_c05_lp_enumeration_counts(fixture10, monkeypatch):
-    monkeypatch.setenv("GRIDCTRL_THREADS", "1")
+def test_c05_lp_enumeration_counts(fixture10):
     t0 = time.perf_counter()
     mat = ptdf(fixture10)
     _placements, tables = run_lp_placement(
@@ -199,7 +197,7 @@ def test_c10_metric_correlation(fixture10):
 
 
 def test_c11_cli_determinism():
-    """Every subcommand, run twice under a 4-thread pool: identical bytes."""
+    """Every subcommand, run twice: identical bytes."""
     fixture10 = str(case_path("fixture10"))
     case14 = str(case_path("case14"))
     congested3 = str(case_path("congested3"))
@@ -219,10 +217,9 @@ def test_c11_cli_determinism():
         ["cos-curve", fixture10, "--max", "1"],
         ["metrics", fixture10],
     ]
-    env = dict(os.environ, GRIDCTRL_THREADS="4")
     for argv in commands:
         runs = [subprocess.run([sys.executable, "-m", "gridctrl.cli", *argv],
-                               capture_output=True, env=env, check=False)
+                               capture_output=True, check=False)
                 for _ in range(2)]
         assert runs[0].returncode == 0, (argv, runs[0].stderr)
         assert runs[0].returncode == runs[1].returncode

@@ -1,19 +1,22 @@
 """End-to-end checks of the command-line frontend.
 
 Most tests drive `run()` in process and inspect stdout/stderr through
-capsys; a couple shell out to verify byte determinism under a thread pool.
+capsys; one shells out to verify byte determinism across BLAS thread counts.
 """
 
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gridctrl.cases import case_path
-from gridctrl.cli import run
+from gridctrl.cli import _cell, run
 
 FIXTURE10 = str(case_path("fixture10"))
 CASE14 = str(case_path("case14"))
@@ -442,7 +445,7 @@ def test_out_writes_file_instead_of_stdout(capsys, tmp_path):
 
 
 def _run_cli_subprocess(argv, threads):
-    env = dict(os.environ, GRIDCTRL_THREADS=str(threads))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
     return subprocess.run(
         [sys.executable, "-m", "gridctrl.cli", *argv],
         capture_output=True, env=env, check=False)
@@ -451,18 +454,55 @@ def _run_cli_subprocess(argv, threads):
 def test_threaded_runs_are_byte_identical():
     for argv in (["place-lp", FIXTURE10, "--count", "1", "--strategy", "limit"],
                  ["place-cv", FIXTURE10, "--count", "2"]):
-        first = _run_cli_subprocess(argv, threads=4)
-        second = _run_cli_subprocess(argv, threads=4)
+        first = _run_cli_subprocess(argv, threads=2)
+        second = _run_cli_subprocess(argv, threads=2)
         sequential = _run_cli_subprocess(argv, threads=1)
         assert first.returncode == 0
         assert first.stdout == second.stdout == sequential.stdout
 
 
-def test_bad_thread_env_is_input_error():
-    env = dict(os.environ, GRIDCTRL_THREADS="abc")
-    proc = subprocess.run(
-        [sys.executable, "-m", "gridctrl.cli",
-         "place-lp", TRIANGLE3, "--count", "1"],
-        capture_output=True, env=env, check=False)
-    assert proc.returncode == 2
-    assert proc.stderr.decode().startswith("error: GRIDCTRL_THREADS")
+def test_input_error_writes_no_output(capsys, tmp_path):
+    target = tmp_path / "cv.csv"
+    code, out, err = cli(capsys, "cv", FIXTURE10, "--pair", "1,1",
+                         "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err == "error: pair buses must be distinct\n"
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("x", [
+    -0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e16,
+    0.1 + 0.2, 1 / 3, np.float64(-0.0), np.float64(-2.5e-7), 0, 7, -3])
+def test_cell_is_twelve_digit_float_form(x):
+    expected = format(abs(float(x)) if x == 0 else float(x), ".12g")
+    assert _cell(x) == expected
+
+
+def test_cell_blank_pair_and_text():
+    assert _cell(None) == ""
+    assert _cell((3, 8)) == "3-8"
+    assert _cell("status") == "status"
+
+
+# ---------------------------------------------------------------------------
+# golden CSV bytes of every subcommand on the bundled cases
+
+# Each "### ARGV" header is followed by the CSV the CLI printed for ARGV, with
+# bundled case names standing for their files.  A diff here is a change in
+# the CLI's output bytes.
+GOLDEN = Path(__file__).with_name("cli_golden.txt")
+
+
+def _golden():
+    parts = re.split(r"^### (.*)\n", GOLDEN.read_text(), flags=re.M)
+    return list(zip(parts[1::2], parts[2::2]))
+
+
+@pytest.mark.parametrize("command,expected", _golden(),
+                         ids=[command for command, _ in _golden()])
+def test_csv_matches_golden(capsys, command, expected):
+    name, case, *rest = command.split()
+    code, out, err = cli(capsys, name, str(case_path(case)), *rest)
+    assert (code, err) == (0, "")
+    assert out == expected

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dcsens import InjectionProfile, PtdfMatrix, cv, ptdf
+from .dcsens import InjectionProfile, PtdfMatrix, cv_matrix, ptdf
 from .netmodel import Network, connected_components
 
 RANK_REL_TOL = 1e-8
@@ -113,5 +113,4 @@ def controllability_rank(placements: list[tuple[int, int]], mat: PtdfMatrix) -> 
     """Rank of the stacked CV columns, capped by n_B - 1."""
     if not placements:
         return 0
-    cols = np.column_stack([cv(mat, m, n).values for m, n in placements])
-    return min(matrix_rank(cols), len(mat.bus_ids) - 1)
+    return min(matrix_rank(cv_matrix(mat, placements).T), len(mat.bus_ids) - 1)

@@ -23,7 +23,7 @@ import numpy as np
 from . import opf as opf_mod
 from .bounds import bounds as bounds_op
 from .bounds import solve_fixed_flows
-from .dcsens import InjectionProfile, cv, lodf, ptdf
+from .dcsens import InjectionProfile, cv_matrix, lodf, node_pairs, ptdf
 from .netmodel import (
     MATPOWER_SUBSET,
     NATIVE_JSON,
@@ -141,6 +141,8 @@ def _parse(args) -> Network:
         text = path.read_text()
     except OSError as exc:
         raise CliError(f"cannot read case file: {exc}") from exc
+    except UnicodeDecodeError:
+        raise CliError(f"case file {path} is not UTF-8 text") from None
     fmt = args.format
     if fmt == "auto":
         fmt = MATPOWER_SUBSET if path.suffix == ".m" else NATIVE_JSON
@@ -223,27 +225,23 @@ def _cmd_cv(args) -> int:
     mat = ptdf(net)
     if args.all == (args.pair is not None):
         raise CliError("choose exactly one of --pair M,N or --all")
-    if args.all:
-        order = sorted(mat.bus_ids)
-        pairs = [(m, n) for i, m in enumerate(order) for n in order[i + 1:]]
-    else:
-        pairs = [args.pair]
-    cols = np.empty((len(mat.line_ids), len(pairs)))
-    for j, (m, n) in enumerate(pairs):
+    if args.pair is not None:
+        m, n = args.pair
         if m not in mat.bus_ids or n not in mat.bus_ids:
             raise CliError(f"unknown bus in pair {m},{n}")
         if m == n:
             raise CliError("pair buses must be distinct")
-        cols[:, j] = cv(mat, m, n).values
+    pairs = node_pairs(mat.bus_ids) if args.all else [args.pair]
+    vectors = cv_matrix(mat, pairs)
     if args.output == "json":
         _write_json(args.out, {
             "line_ids": list(mat.line_ids),
             "pairs": [list(p) for p in pairs],
-            "values": cols.T.tolist(),
+            "values": vectors.tolist(),
         })
         return 0
     _write_csv(args.out, _matrix_rows((f"cv_{m}_{n}" for m, n in pairs),
-                                      mat.line_ids, cols))
+                                      mat.line_ids, vectors.T))
     return 0
 
 

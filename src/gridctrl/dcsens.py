@@ -15,6 +15,7 @@ import numpy as np
 from .netmodel import Network, connected_components
 
 BALANCE_TOL = 1e-9
+_CV_CHUNK = 256         # pairs per subtraction in cv_matrix; bounds its temporaries
 
 
 class DisconnectedNetworkError(ValueError):
@@ -136,13 +137,34 @@ class ControllabilityVector:
     values: np.ndarray
 
 
+def node_pairs(bus_ids) -> list[tuple[int, int]]:
+    """Every unordered node pair (m, n), m < n, in sorted order."""
+    ordered = sorted(bus_ids)
+    return [(m, n) for i, m in enumerate(ordered) for n in ordered[i + 1:]]
+
+
+def cv_matrix(mat: PtdfMatrix, pairs) -> np.ndarray:
+    """(len(pairs), n_L) array whose row j is P[:, m_j] - P[:, n_j]."""
+    column = {b: i for i, b in enumerate(mat.bus_ids)}
+    cols = []
+    try:
+        for m, n in pairs:
+            if m == n:
+                raise ValueError(f"node pair must be distinct, got ({m}, {n})")
+            cols.append((column[m], column[n]))
+    except KeyError as exc:
+        raise KeyError(f"no bus with id {exc.args[0]}") from None
+    idx = np.array(cols, dtype=np.intp).reshape(-1, 2)
+    by_bus = np.ascontiguousarray(mat.values.T)
+    out = np.empty((len(idx), by_bus.shape[1]))
+    for s in range(0, len(idx), _CV_CHUNK):
+        c = idx[s:s + _CV_CHUNK]
+        np.subtract(by_bus[c[:, 0]], by_bus[c[:, 1]], out=out[s:s + _CV_CHUNK])
+    return out
+
+
 def cv(mat: PtdfMatrix, m: int, n: int) -> ControllabilityVector:
-    if m == n:
-        raise ValueError(f"node pair must be distinct, got ({m}, {n})")
-    col_m = mat.bus_column(m)
-    col_n = mat.bus_column(n)
-    return ControllabilityVector(
-        m=m, n=n, values=_frozen(mat.values[:, col_m] - mat.values[:, col_n]))
+    return ControllabilityVector(m=m, n=n, values=_frozen(cv_matrix(mat, [(m, n)])[0]))
 
 
 def apply_hvdc(mat: PtdfMatrix, placements: list[tuple[int, int]],
@@ -151,10 +173,7 @@ def apply_hvdc(mat: PtdfMatrix, placements: list[tuple[int, int]],
     p_dc = np.asarray(p_dc, dtype=float)
     if p_dc.shape != (len(placements),):
         raise ValueError(f"{len(placements)} placements but {p_dc.shape} setpoints")
-    delta = np.zeros(mat.values.shape[0])
-    for (m, n), setpoint in zip(placements, p_dc):
-        delta += cv(mat, m, n).values * setpoint
-    return delta
+    return p_dc @ cv_matrix(mat, placements)
 
 
 def tcsc_sensitivity(net: Network, inj: InjectionProfile, line_id: int) -> np.ndarray:
@@ -210,20 +229,16 @@ def lodf(net: Network) -> LodfMatrix:
     _require_connected(net)
     mat = ptdf(net)
     lines = net.lines_in_service
-    n_l = len(lines)
-    values = np.zeros((n_l, n_l))
-    islanded = []
-    for k, ln in enumerate(lines):
-        if is_bridge(net, ln.id):
-            values[:, k] = np.nan
-            islanded.append(ln.id)
-            continue
-        h = cv(mat, ln.from_bus, ln.to_bus).values
-        denom = 1.0 - h[k]
-        if abs(denom) < 1e-9:
-            raise ArithmeticError(
-                f"line {ln.id}: outage denominator {denom:.3e} is numerically singular")
-        values[:, k] = h / denom
-        values[k, k] = -1.0
-    return LodfMatrix(values=_frozen(values), islanded=tuple(islanded),
+    bridge = np.array([is_bridge(net, ln.id) for ln in lines], dtype=bool)
+    h = cv_matrix(mat, [(ln.from_bus, ln.to_bus) for ln in lines]).T
+    denom = np.where(bridge, np.nan, 1.0 - np.diag(h))     # bridge columns come out NaN
+    singular = np.flatnonzero(np.abs(denom) < 1e-9)
+    if singular.size:
+        k = singular[0]
+        raise ValueError(f"line {lines[k].id}: outage denominator "
+                         f"{denom[k]:.3e} is numerically singular")
+    values = h / denom
+    values[~bridge, ~bridge] = -1.0
+    return LodfMatrix(values=_frozen(values),
+                      islanded=tuple(ln.id for ln, b in zip(lines, bridge) if b),
                       line_ids=mat.line_ids)

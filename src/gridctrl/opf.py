@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dcsens import PtdfMatrix, cv, is_bridge, lodf, ptdf, remove_line
+from .dcsens import PtdfMatrix, cv_matrix, is_bridge, lodf, ptdf, remove_line
 from .netmodel import Network
 from .place_cv import run_cv_placement
 from .place_lp import DeltaStrategy, run_lp_placement
@@ -129,8 +129,7 @@ def _solve(net: Network, placements: list[tuple[int, int]], p_dc_max: float,
         coef = np.zeros((mat.values.shape[0], n_core))
         for s, (gi, _w, _sl) in enumerate(seg_slots):
             coef[:, s] = mat.values[:, mat.bus_column(gens[gi].bus)]
-        for j, (m, n) in enumerate(placements):
-            coef[:, dc_offset + j] = cv(mat, m, n).values
+        coef[:, dc_offset:dc_offset + n_dc] = cv_matrix(mat, placements).T
         return coef, mat.values @ inj_fixed
 
     f_base, off_base = flow_terms(base, dc0)

@@ -18,13 +18,14 @@ vector is to the span of the selected ones (cos-phi of the projection).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dcsens import PtdfMatrix, cv
+from .dcsens import PtdfMatrix, cv_matrix, node_pairs
 
 VOLUME_EPS = 1e-9
 COS_THRESHOLD = 0.2
@@ -32,25 +33,14 @@ CANDIDATE_CAP = 10
 _SPAN_COS = 1.0 - 1e-9      # candidates at/above this lie in the basis span
 
 
+@functools.total_ordering
 @dataclass(frozen=True)
 class VolumeScore:
     log_volume: float
     dimension: int
 
-    def _key(self) -> tuple[int, float]:
-        return (self.dimension, self.log_volume)
-
     def __lt__(self, other: "VolumeScore") -> bool:
-        return self._key() < other._key()
-
-    def __le__(self, other: "VolumeScore") -> bool:
-        return self._key() <= other._key()
-
-    def __gt__(self, other: "VolumeScore") -> bool:
-        return self._key() > other._key()
-
-    def __ge__(self, other: "VolumeScore") -> bool:
-        return self._key() >= other._key()
+        return (self.dimension, self.log_volume) < (other.dimension, other.log_volume)
 
 
 def conical_log_volume(v: np.ndarray, eps: float = VOLUME_EPS) -> VolumeScore:
@@ -63,34 +53,33 @@ def conical_log_volume(v: np.ndarray, eps: float = VOLUME_EPS) -> VolumeScore:
     return VolumeScore(log_volume=log_volume, dimension=dimension)
 
 
-def _all_pairs(bus_ids: tuple[int, ...]) -> list[tuple[int, int]]:
-    ordered = sorted(bus_ids)
-    return [(m, n) for i, m in enumerate(ordered) for n in ordered[i + 1:]]
-
-
 def first_placement(mat: PtdfMatrix) -> list[tuple[tuple[int, int], VolumeScore]]:
     """All node pairs ranked by conical volume, best first; ties by pair."""
-    pairs = _all_pairs(mat.bus_ids)
-    scored = [(pair, conical_log_volume(cv(mat, *pair).values)) for pair in pairs]
+    pairs = node_pairs(mat.bus_ids)
+    if not pairs:
+        raise ValueError("case has no node pair to place")
+    scored = [(pair, conical_log_volume(vec))
+              for pair, vec in zip(pairs, cv_matrix(mat, pairs))]
     scored.sort(key=lambda item: (-item[1].dimension, -item[1].log_volume, item[0]))
     return scored
 
 
-def orthogonality(basis: np.ndarray, v: np.ndarray) -> float:
-    """cos-phi of v against span(basis columns): 0 orthogonal, 1 inside."""
+def orthogonality(basis: np.ndarray, vectors: np.ndarray) -> list[float]:
+    """cos-phi of each row of ``vectors`` against span(basis columns):
+    0 orthogonal, 1 inside.  The basis is factored once for all rows."""
     basis = np.asarray(basis, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if basis.ndim != 2 or basis.shape[0] != v.shape[0]:
-        raise ValueError("basis must be (n, k) with rows matching v")
-    norm_v = float(np.linalg.norm(v))
-    if norm_v == 0.0:
-        raise ValueError("cannot score a zero vector")
+    vectors = np.asarray(vectors, dtype=float)
+    if basis.ndim != 2 or vectors.ndim != 2 or basis.shape[0] != vectors.shape[1]:
+        raise ValueError("basis must be (n, k) and vectors (c, n)")
     q, r = np.linalg.qr(basis)
     diag = np.abs(np.diag(r))
     if diag.size == 0 or diag.min() <= 1e-8 * max(diag.max(), 1.0):
         raise ValueError("basis columns are rank deficient")
-    proj = q @ (q.T @ v)
-    return min(float(np.linalg.norm(proj)) / norm_v, 1.0)
+    norms = [float(np.linalg.norm(v)) for v in vectors]
+    if 0.0 in norms:
+        raise ValueError("cannot score a zero vector")
+    return [min(float(np.linalg.norm(q @ (q.T @ v))) / norm_v, 1.0)
+            for v, norm_v in zip(vectors, norms)]
 
 
 def _dedupe_directions(vectors: list[np.ndarray]) -> list[np.ndarray]:
@@ -160,9 +149,8 @@ def initial_state(mat: PtdfMatrix, pair: tuple[int, int] | None = None,
     """State after the first placement (default: the volume-ranked winner)."""
     if pair is None:
         pair = first_placement(mat)[0][0]
-    column = cv(mat, *pair).values
     return PlacementState(selected=(tuple(pair),),
-                          basis=column.reshape(-1, 1),
+                          basis=cv_matrix(mat, [pair]).T,
                           cos_threshold=cos_threshold, candidate_cap=candidate_cap)
 
 
@@ -178,11 +166,12 @@ def place_next(state: PlacementState, mat: PtdfMatrix
                ) -> tuple[tuple[int, int], PlacementState, list[CandidateRow]]:
     """One greedy step: filter by cos-phi, score survivors, take the max."""
     taken = set(state.selected)
-    pool = [(pair, cv(mat, *pair).values)
-            for pair in _all_pairs(mat.bus_ids) if pair not in taken]
-    if not pool:
+    pairs = node_pairs(mat.bus_ids)
+    if taken.issuperset(pairs):
         raise ValueError("all node pairs are already placed")
-    scored_cos = [(pair, vec, orthogonality(state.basis, vec)) for pair, vec in pool]
+    vectors = cv_matrix(mat, pairs)
+    cos = orthogonality(state.basis, vectors)
+    scored_cos = [(pair, j, cos[j]) for j, pair in enumerate(pairs) if pair not in taken]
     qualifying = [item for item in scored_cos if item[2] <= state.cos_threshold]
     if not qualifying:
         # fall back to the most orthogonal pairs; span members stay excluded
@@ -193,17 +182,17 @@ def place_next(state: PlacementState, mat: PtdfMatrix
     qualifying = qualifying[:state.candidate_cap]
 
     selected_vecs = [state.basis[:, k] for k in range(state.basis.shape[1])]
-    scores = [orthant_volume_sum(selected_vecs, item[1]) for item in qualifying]
+    scores = [orthant_volume_sum(selected_vecs, vectors[item[1]]) for item in qualifying]
     best = max(range(len(qualifying)),
                key=lambda i: (scores[i], tuple(-c for c in qualifying[i][0])))
-    pair, vec, _ = qualifying[best]
+    pair, row, _ = qualifying[best]
 
     rows = [CandidateRow(pair=item[0], cos_phi=item[2], score=scores[i],
                          selected=(i == best))
             for i, item in enumerate(qualifying)]
     new_state = PlacementState(
         selected=state.selected + (tuple(pair),),
-        basis=np.column_stack([state.basis, vec]),
+        basis=np.column_stack([state.basis, vectors[row]]),
         cos_threshold=state.cos_threshold, candidate_cap=state.candidate_cap)
     return tuple(pair), new_state, rows
 
@@ -229,8 +218,9 @@ def run_cv_placement(mat: PtdfMatrix, count: int,
 
 def rank_by_norm1(mat: PtdfMatrix) -> list[tuple[tuple[int, int], float]]:
     """All pairs ranked by ||CV||_1 descending; ties by pair."""
-    pairs = _all_pairs(mat.bus_ids)
-    scored = [(pair, float(np.abs(cv(mat, *pair).values).sum())) for pair in pairs]
+    pairs = node_pairs(mat.bus_ids)
+    scored = [(pair, float(np.abs(vec).sum()))
+              for pair, vec in zip(pairs, cv_matrix(mat, pairs))]
     scored.sort(key=lambda item: (-item[1], item[0]))
     return scored
 
@@ -279,13 +269,10 @@ def spearman(a: list, b: list) -> float:
 
 def metric_report(mat: PtdfMatrix) -> tuple[list[MetricRow], float]:
     """Per-pair 1-norm vs conical volume, with ranks and their correlation."""
-    pairs = _all_pairs(mat.bus_ids)
-    norms = []
-    scores = []
-    for pair in pairs:
-        vec = cv(mat, *pair).values
-        norms.append(float(np.abs(vec).sum()))
-        scores.append(conical_log_volume(vec))
+    pairs = node_pairs(mat.bus_ids)
+    vectors = cv_matrix(mat, pairs)
+    norms = [float(np.abs(vec).sum()) for vec in vectors]
+    scores = [conical_log_volume(vec) for vec in vectors]
     rank_n = _average_ranks(norms)
     rank_v = _average_ranks(scores)
     rows = [MetricRow(pair=pairs[i], norm1=norms[i], score=scores[i],

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dcsens import PtdfMatrix, cv
+from .dcsens import PtdfMatrix, cv_matrix, node_pairs
 from .netmodel import Network
 from .simplex import LpProblem, SimplexNumericalError, solve_lp
 
@@ -116,7 +116,7 @@ def control_effort(mat: PtdfMatrix, placements: list[tuple[int, int]],
     for lid in targets:
         if lid not in in_service:
             raise KeyError(f"no in-service line with id {lid}")
-    cols = np.column_stack([cv(mat, m, n).values for m, n in placements])
+    cols = cv_matrix(mat, placements).T
     rows = [in_service[lid] for lid in targets]
     deltas = strategy.deltas(net, tuple(targets))
     return _effort(cols[rows, :], deltas, p_dc_max)
@@ -132,16 +132,17 @@ def place_lp_next(net: Network, mat: PtdfMatrix,
     C(n_L, k) target set with k = len(existing) + 1; infeasible sets are
     counted, and a candidate with no feasible set at all ranks last.
     """
-    bus_order = sorted(mat.bus_ids)
-    pairs = [(m, n) for i, m in enumerate(bus_order) for n in bus_order[i + 1:]]
+    pairs = node_pairs(mat.bus_ids)
+    if not pairs:
+        raise ValueError("case has no node pair to place")
     k = len(existing) + 1
     line_ids = mat.line_ids
     target_sets = list(itertools.combinations(range(len(line_ids)), k))
     all_deltas = strategy.deltas(net, line_ids)
-    existing_cols = [cv(mat, m, n).values for m, n in existing]
+    existing_cols = list(cv_matrix(mat, existing))
 
-    def score(pair: tuple[int, int]) -> EffortResult:
-        cols = np.column_stack(existing_cols + [cv(mat, *pair).values])
+    def score(vec: np.ndarray) -> EffortResult:
+        cols = np.column_stack(existing_cols + [vec])
         total = 0.0
         infeasible = 0
         for rows in target_sets:
@@ -153,7 +154,7 @@ def place_lp_next(net: Network, mat: PtdfMatrix,
         return EffortResult(total_effort=total, infeasible_sets=infeasible,
                             lp_count=len(target_sets))
 
-    results = [score(pair) for pair in pairs]
+    results = [score(vec) for vec in cv_matrix(mat, pairs)]
     ranked = sorted(zip(pairs, results),
                     key=lambda item: (item[1].all_infeasible, item[1].total_effort, item[0]))
     return ranked

@@ -104,6 +104,38 @@ def test_malformed_json_is_input_error(capsys, tmp_path):
     assert err.startswith("error: ")
 
 
+def test_non_utf8_case_is_input_error(capsys, tmp_path):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe{}")
+    code, out, err = cli(capsys, "ptdf", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: case file {path} is not UTF-8 text\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["place-cv", "--count", "1"], ["place-lp", "--count", "1"],
+    ["compare-placements", "--count", "1"], ["cos-curve", "--max", "1"]])
+def test_one_bus_case_has_no_pair_to_place(capsys, tmp_path, argv):
+    path = tmp_path / "one.json"
+    path.write_text(native_doc([1], []))
+    code, out, err = cli(capsys, argv[0], str(path), *argv[1:])
+    assert (code, out) == (2, "")
+    assert err == "error: case has no node pair to place\n"
+
+
+@pytest.mark.parametrize("command", ["lodf", "sc-opf"])
+def test_near_bridge_outage_is_input_error(capsys, tmp_path, command):
+    """Line 1-2 carries almost all of a 1->2 transfer, so its outage
+    denominator 1 - PTDF is about 5e-12: too close to a bridge to divide by."""
+    path = tmp_path / "near_bridge.json"
+    path.write_text(native_doc(
+        [1, 2, 3], [(1, 1, 2, 1e-7, 100.0), (2, 2, 3, 1e4, 100.0), (3, 1, 3, 1e4, 100.0)],
+        gens=[(1, 0.0, 200.0, (0.0, 10.0))], loads=[(3, 50.0)]))
+    code, out, err = cli(capsys, command, str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: line 1: outage denominator 5.000e-12 is numerically singular\n"
+
+
 def test_analysis_gate_rejects_invalid_case(capsys, disconnected_case):
     """Every analysis subcommand refuses a case that fails validation."""
     code, _out, err = cli(capsys, "ptdf", disconnected_case)

@@ -17,9 +17,11 @@ from gridctrl.dcsens import (
     apply_hvdc,
     build_susceptance,
     cv,
+    cv_matrix,
     dc_flow,
     is_bridge,
     lodf,
+    node_pairs,
     ptdf,
     remove_line,
     tcsc_sensitivity,
@@ -188,6 +190,32 @@ def test_cv_against_slack_is_ptdf_column(fixture10):
 def test_cv_same_bus_rejected(fixture10):
     with pytest.raises(ValueError, match="distinct"):
         cv(ptdf(fixture10), 2, 2)
+
+
+def test_node_pairs_sorted_and_unordered():
+    assert node_pairs((3, 1, 2)) == [(1, 2), (1, 3), (2, 3)]
+    assert node_pairs((7,)) == []
+
+
+def test_cv_matrix_rows_are_cv_bitwise(triangle3, congested3, fixture10, case14):
+    for net in (triangle3, congested3, fixture10, case14):
+        mat = ptdf(net)
+        pairs = node_pairs(net.bus_ids)
+        rows = cv_matrix(mat, pairs)
+        assert rows.shape == (len(pairs), len(mat.line_ids))
+        for row, (m, n) in zip(rows, pairs):
+            assert np.array_equal(row, cv(mat, m, n).values)
+            assert np.array_equal(row, mat.values[:, mat.bus_column(m)]
+                                  - mat.values[:, mat.bus_column(n)])
+
+
+def test_cv_matrix_errors(fixture10):
+    mat = ptdf(fixture10)
+    assert cv_matrix(mat, []).shape == (0, len(mat.line_ids))
+    with pytest.raises(KeyError, match="no bus with id 99"):
+        cv_matrix(mat, [(1, 2), (99, 2)])
+    with pytest.raises(ValueError, match="distinct"):
+        cv_matrix(mat, [(1, 2), (4, 4)])
 
 
 def test_apply_hvdc_zero(fixture10):

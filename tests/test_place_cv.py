@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 from scipy.stats import spearmanr
 
-from gridctrl.dcsens import cv, ptdf
+from gridctrl.dcsens import cv, cv_matrix, node_pairs, ptdf
 from gridctrl.netmodel import Bus, Line, Network
 from gridctrl.place_cv import (
     VOLUME_EPS,
@@ -116,27 +118,56 @@ def test_fixture10_first_pick(fixture10):
 
 def test_orthogonality_axes():
     basis = np.array([[1.0], [0.0], [0.0]])
-    assert orthogonality(basis, np.array([2.0, 0.0, 0.0])) == pytest.approx(1.0)
-    assert orthogonality(basis, np.array([0.0, 3.0, 0.0])) == pytest.approx(0.0)
-    assert orthogonality(basis, np.array([1.0, 1.0, 0.0])) == pytest.approx(
-        1.0 / math.sqrt(2.0))
+    cos = orthogonality(basis, np.array([[2.0, 0.0, 0.0], [0.0, 3.0, 0.0],
+                                         [1.0, 1.0, 0.0]]))
+    assert cos == pytest.approx([1.0, 0.0, 1.0 / math.sqrt(2.0)])
 
 
 def test_orthogonality_two_column_basis():
     basis = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
     v = np.array([1.0, 1.0, math.sqrt(2.0)])
-    assert orthogonality(basis, v) == pytest.approx(1.0 / math.sqrt(2.0))
+    assert orthogonality(basis, [v]) == pytest.approx([1.0 / math.sqrt(2.0)])
 
 
 def test_orthogonality_rejects_rank_deficient_basis():
     basis = np.array([[1.0, 2.0], [0.0, 0.0], [1.0, 2.0]])
     with pytest.raises(ValueError, match="rank deficient"):
-        orthogonality(basis, np.array([1.0, 0.0, 0.0]))
+        orthogonality(basis, np.array([[1.0, 0.0, 0.0]]))
 
 
 def test_orthogonality_rejects_zero_vector():
     with pytest.raises(ValueError, match="zero vector"):
-        orthogonality(np.eye(2), np.zeros(2))
+        orthogonality(np.eye(2), np.zeros((1, 2)))
+
+
+@st.composite
+def connected_grids(draw):
+    """A random spanning tree plus chords, reactances in [0.05, 1]."""
+    n = draw(st.integers(3, 9))
+    edges = {(draw(st.integers(1, b - 1)), b) for b in range(2, n + 1)}
+    edges |= set(draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n))
+                               .filter(lambda e: e[0] < e[1]), max_size=n)))
+    xs = draw(st.lists(st.floats(0.05, 1.0), min_size=len(edges), max_size=len(edges)))
+    return Network(buses=tuple(Bus(b, b == 1) for b in range(1, n + 1)),
+                   lines=tuple(Line(i, f, t, x) for i, ((f, t), x)
+                               in enumerate(zip(sorted(edges), xs), start=1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(net=connected_grids(), data=st.data())
+def test_orthogonality_matches_least_squares(net, data):
+    mat = ptdf(net)
+    pairs = node_pairs(net.bus_ids)
+    chosen = data.draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=3, unique=True))
+    basis = cv_matrix(mat, chosen).T
+    assume(np.linalg.cond(basis) < 1e3)
+    vectors = cv_matrix(mat, pairs)
+    cos = orthogonality(basis, vectors)
+    for v, c in zip(vectors, cos):
+        coef, *_ = np.linalg.lstsq(basis, v, rcond=None)
+        oracle = np.linalg.norm(basis @ coef) / np.linalg.norm(v)
+        assert 0.0 <= c <= 1.0
+        assert abs(c - oracle) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +232,8 @@ def test_place_next_is_filtered_argmax(fixture10):
     ids = sorted(mat.bus_ids)
     pairs = [(m, n) for i, m in enumerate(ids) for n in ids[i + 1:]
              if (m, n) not in set(state.selected)]
-    cos = {p: orthogonality(state.basis, cv(mat, *p).values) for p in pairs}
+    cos = dict(zip(pairs, orthogonality(state.basis,
+                                        [cv(mat, *p).values for p in pairs])))
     qualifying = sorted((p for p in pairs if cos[p] <= 0.2),
                         key=lambda p: (cos[p], p))[:10]
     assert {r.pair for r in rows} == set(qualifying)

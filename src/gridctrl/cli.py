@@ -635,7 +635,7 @@ def _cmd_metrics(args) -> int:
         ("pair", "norm1", "log_volume", "dimension", "rank_norm1", "rank_volume"),
         *((r.pair, r.norm1, r.score.log_volume, r.score.dimension, r.rank_norm1,
            r.rank_volume) for r in rows),
-        (f"spearman_rho={_cell(rho)}",),
+        (f"spearman_rho={'undefined' if rho is None else _cell(rho)}",),
     ])
     return 0
 

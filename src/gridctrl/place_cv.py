@@ -267,8 +267,12 @@ def spearman(a: list, b: list) -> float:
     return float(xa @ xb) / denom
 
 
-def metric_report(mat: PtdfMatrix) -> tuple[list[MetricRow], float]:
-    """Per-pair 1-norm vs conical volume, with ranks and their correlation."""
+def metric_report(mat: PtdfMatrix) -> tuple[list[MetricRow], float | None]:
+    """Per-pair 1-norm vs conical volume, with ranks and their correlation.
+
+    The correlation is None when either ranking is constant (every pair
+    ties, or there are fewer than two pairs): it is undefined there.
+    """
     pairs = node_pairs(mat.bus_ids)
     vectors = cv_matrix(mat, pairs)
     norms = [float(np.abs(vec).sum()) for vec in vectors]
@@ -278,5 +282,6 @@ def metric_report(mat: PtdfMatrix) -> tuple[list[MetricRow], float]:
     rows = [MetricRow(pair=pairs[i], norm1=norms[i], score=scores[i],
                       rank_norm1=int(round(rank_n[i])), rank_volume=int(round(rank_v[i])))
             for i in range(len(pairs))]
-    rho = spearman(norms, scores)
-    return rows, rho
+    if len(set(rank_n)) < 2 or len(set(rank_v)) < 2:
+        return rows, None
+    return rows, spearman(norms, scores)

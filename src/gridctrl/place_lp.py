@@ -2,10 +2,21 @@
 
 For a candidate set of HVDC node pairs, the effort to force a target set of
 line-flow changes is min sum |P_DC| subject to CV * P_DC = delta on the
-target lines and |P_DC| <= p_dc_max.  Each setpoint is split into a
-nonnegative positive and negative part, so the problem lands directly in the
-bounded-variable equality form of the embedded solver with exactly one
-equality row per target line.
+target lines and |P_DC| <= p_dc_max.  With k controllers and k target lines
+that system is a square k x k block, and ``_efforts`` scores a whole stack
+of such blocks at once:
+
+* a regular block (smallest singular value above the simplex's pivot
+  tolerance, relative to max(largest, 1)) has the single feasible point
+  P_DC = CV^-1 delta, so its effort is the closed form sum |P_DC|, and it is
+  infeasible exactly when max |P_DC| > p_dc_max;
+* a singular block whose delta lies farther from its range than twice the
+  simplex's phase-1 tolerance is infeasible without any LP;
+* every other singular block reaches its target along a whole family of
+  setpoints, so it goes to the effort LP.  Each setpoint is split into a
+  nonnegative positive and negative part, so that problem lands directly in
+  the bounded-variable equality form of the embedded solver with exactly
+  one equality row per target line.
 
 Deltas follow one of three strategies (fixed MW, fraction of the line limit,
 scaled reactance) and always take the canonical positive sign; efforts and
@@ -23,7 +34,7 @@ import numpy as np
 
 from .dcsens import PtdfMatrix, cv_matrix, node_pairs
 from .netmodel import Network
-from .simplex import LpProblem, SimplexNumericalError, solve_lp
+from .simplex import FEAS_TOL, PIVOT_TOL, LpProblem, SimplexNumericalError, solve_lp
 
 CONSTANT_MW = "constant"
 OF_LIMIT = "fraction-of-limit"
@@ -101,6 +112,36 @@ def _effort(cv_rows: np.ndarray, deltas: np.ndarray, p_dc_max: float) -> float |
     return float(res.objective)
 
 
+def _efforts(blocks: np.ndarray, deltas: np.ndarray, p_dc_max: float) -> np.ndarray:
+    """Effort per square block; NaN where the block cannot reach its delta.
+
+    ``blocks`` is (s, k, k), the CV rows of k target lines for k controllers
+    in each of s target sets, and ``deltas`` is (s, k).  A regular block is
+    solved in closed form and counts as feasible iff max |P_DC| <= p_dc_max,
+    compared exactly, with no tolerance.  A singular block is infeasible when
+    the 2-norm of its delta's component off the block's range exceeds
+    2 * FEAS_TOL * (1 + max |delta|): phase 1 of the LP minimises the 1-norm
+    residual, which is no smaller, so the LP would report it infeasible too.
+    The remaining singular blocks are handed to the effort LP.
+    """
+    if not p_dc_max >= 0.0:
+        raise ValueError(f"setpoint cap p_dc_max must be >= 0 MW, got {p_dc_max}")
+    efforts = np.full(blocks.shape[0], np.nan)
+    u, sigma = np.linalg.svd(blocks)[:2]
+    small = sigma <= PIVOT_TOL * np.maximum(sigma[:, :1], 1.0)
+    regular = ~small[:, -1]
+    if regular.any():
+        x = np.abs(np.linalg.solve(blocks[regular], deltas[regular][..., None])[..., 0])
+        efforts[regular] = np.where(x.max(axis=1) <= p_dc_max, x.sum(axis=1), np.nan)
+    off_range = np.sqrt((np.einsum("sji,sj->si", u, deltas) ** 2 * small).sum(axis=1))
+    reachable = off_range <= 2.0 * FEAS_TOL * (1.0 + np.abs(deltas).max(axis=1))
+    for i in np.flatnonzero(~regular & reachable):
+        effort = _effort(blocks[i], deltas[i], p_dc_max)
+        if effort is not None:
+            efforts[i] = effort
+    return efforts
+
+
 def control_effort(mat: PtdfMatrix, placements: list[tuple[int, int]],
                    targets: list[int], strategy: DeltaStrategy,
                    p_dc_max: float = math.inf, *, net: Network
@@ -119,7 +160,8 @@ def control_effort(mat: PtdfMatrix, placements: list[tuple[int, int]],
     cols = cv_matrix(mat, placements).T
     rows = [in_service[lid] for lid in targets]
     deltas = strategy.deltas(net, tuple(targets))
-    return _effort(cols[rows, :], deltas, p_dc_max)
+    effort = _efforts(cols[rows, :][None], deltas[None], p_dc_max)[0]
+    return None if np.isnan(effort) else float(effort)
 
 
 def place_lp_next(net: Network, mat: PtdfMatrix,
@@ -137,22 +179,20 @@ def place_lp_next(net: Network, mat: PtdfMatrix,
         raise ValueError("case has no node pair to place")
     k = len(existing) + 1
     line_ids = mat.line_ids
-    target_sets = list(itertools.combinations(range(len(line_ids)), k))
-    all_deltas = strategy.deltas(net, line_ids)
+    target_sets = np.array(list(itertools.combinations(range(len(line_ids)), k)),
+                           dtype=int).reshape(-1, k)
+    deltas = strategy.deltas(net, line_ids)[target_sets]
     existing_cols = list(cv_matrix(mat, existing))
 
     def score(vec: np.ndarray) -> EffortResult:
         cols = np.column_stack(existing_cols + [vec])
-        total = 0.0
-        infeasible = 0
-        for rows in target_sets:
-            effort = _effort(cols[list(rows), :], all_deltas[list(rows)], p_dc_max)
-            if effort is None:
-                infeasible += 1
-            else:
-                total += effort
-        return EffortResult(total_effort=total, infeasible_sets=infeasible,
-                            lp_count=len(target_sets))
+        efforts = _efforts(cols[target_sets], deltas, p_dc_max)
+        feasible = efforts[~np.isnan(efforts)]
+        # np.cumsum adds in target-set order, one float addition at a time
+        total = float(np.cumsum(feasible)[-1]) if feasible.size else 0.0
+        return EffortResult(total_effort=total,
+                            infeasible_sets=len(efforts) - feasible.size,
+                            lp_count=len(efforts))
 
     results = [score(vec) for vec in cv_matrix(mat, pairs)]
     ranked = sorted(zip(pairs, results),

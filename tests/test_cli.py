@@ -363,6 +363,21 @@ def test_metrics_footer(capsys):
     assert lines[-1] == "spearman_rho=0.863241106719"
 
 
+@pytest.mark.parametrize("case", [TRIANGLE3, CONGESTED3])
+def test_metrics_with_tied_ranks_prints_table(capsys, case):
+    """Every pair ties on one metric, so the rank correlation is undefined."""
+    code, out, err = cli(capsys, "metrics", case)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert len(lines) == 5
+    assert lines[-1] == "spearman_rho=undefined"
+    code, out, err = cli(capsys, "metrics", case, "--output", "json")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["spearman_rho"] is None
+    assert [r["pair"] for r in doc["rows"]] == [[1, 2], [1, 3], [2, 3]]
+
+
 # ---------------------------------------------------------------------------
 # dispatch
 
@@ -399,6 +414,29 @@ def test_opf_with_capped_controller(capsys):
 
 def test_opf_infeasible_exit_code(capsys, short_case):
     code, out, err = cli(capsys, "opf", short_case)
+    assert code == 1
+    assert json.loads(out) == {"status": "infeasible"}
+    assert err == "infeasible: no dispatch satisfies the constraints\n"
+
+
+OPF_COMMANDS = [["opf"], ["sc-opf"], ["sc-opf", "--mode", "corrective"]]
+
+
+@pytest.mark.parametrize("argv", OPF_COMMANDS, ids=" ".join)
+def test_case_without_generator_or_load_costs_nothing(capsys, argv):
+    """triangle3 has no generator, so its LP has no variable at all."""
+    code, out, err = cli(capsys, argv[0], TRIANGLE3, *argv[1:], "--output", "csv")
+    assert (code, err) == (0, "")
+    assert out.startswith("status,optimal\ncost,0\n")
+
+
+@pytest.mark.parametrize("argv", OPF_COMMANDS, ids=" ".join)
+def test_load_without_generator_is_infeasible(capsys, tmp_path, argv):
+    path = tmp_path / "no_gen.json"
+    path.write_text(native_doc(
+        [1, 2, 3], [(1, 1, 2, 0.1, 100.0), (2, 2, 3, 0.1, 100.0), (3, 1, 3, 0.1, 100.0)],
+        loads=[(2, 50.0)]))
+    code, out, err = cli(capsys, argv[0], str(path), *argv[1:])
     assert code == 1
     assert json.loads(out) == {"status": "infeasible"}
     assert err == "infeasible: no dispatch satisfies the constraints\n"

@@ -338,6 +338,15 @@ def test_rank_by_norm1_is_descending(fixture10):
     assert top_norm == pytest.approx(np.abs(cv(mat, *top_pair).values).sum())
 
 
+def test_metric_report_tied_ranks_have_no_rho(triangle3):
+    rows, rho = metric_report(ptdf(triangle3))
+    assert rho is None
+    assert len(rows) == 3
+    assert {r.rank_norm1 for r in rows} == {2}
+    with pytest.raises(ValueError, match="constant ranks"):
+        spearman([r.norm1 for r in rows], [r.score.log_volume for r in rows])
+
+
 def test_metric_report_fixture10(fixture10):
     rows, rho = metric_report(ptdf(fixture10))
     assert len(rows) == 45

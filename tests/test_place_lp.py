@@ -4,12 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gridctrl import place_lp
 from gridctrl.dcsens import cv, ptdf
 from gridctrl.netmodel import Bus, Line, Network
 from gridctrl.place_lp import (
     DeltaStrategy,
     EffortResult,
+    _effort,
+    _efforts,
     compare_placements,
     control_effort,
     place_lp_next,
@@ -118,6 +123,91 @@ def test_effort_zero_cv_target_infeasible(wheatstone):
                           net=wheatstone) == pytest.approx(200.0)
 
 
+@st.composite
+def effort_stacks(draw):
+    """(blocks, deltas, p_dc_max): integer k x k blocks of a drawn rank, so a
+    rank-deficient block is exactly singular and a regular one is far from
+    singular, each with a delta either inside its range or drawn freely."""
+    k = draw(st.integers(1, 3))
+    ints = st.integers(-2, 2)
+    blocks, deltas = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        rank = draw(st.integers(0, k))
+        left = np.array(draw(st.lists(ints, min_size=k * rank, max_size=k * rank)))
+        right = np.array(draw(st.lists(ints, min_size=k * rank, max_size=k * rank)))
+        block = left.reshape(k, rank) @ right.reshape(rank, k)
+        if draw(st.booleans()):
+            delta = block @ np.array(draw(st.lists(ints, min_size=k, max_size=k)))
+        else:
+            delta = np.array(draw(st.lists(st.integers(1, 5), min_size=k, max_size=k)))
+        blocks.append(block)
+        deltas.append(delta)
+    scale = draw(st.floats(0.05, 2.0))
+    p_dc_max = draw(st.one_of(st.just(math.inf), st.floats(0.1, 100.0)))
+    return scale * np.array(blocks, dtype=float), np.array(deltas, dtype=float), p_dc_max
+
+
+@settings(max_examples=120, deadline=None)
+@given(effort_stacks())
+def test_efforts_match_effort_lp(stack):
+    blocks, deltas, p_dc_max = stack
+    got = _efforts(blocks, deltas, p_dc_max)
+    assert got.shape == (len(blocks),)
+    for block, delta, effort in zip(blocks, deltas, got):
+        if np.linalg.matrix_rank(block) == len(block):
+            peak = np.abs(np.linalg.solve(block, delta)).max()
+            if abs(peak - p_dc_max) <= 1e-7 * p_dc_max:
+                continue                  # either verdict is acceptable
+        want = _effort(block, delta, p_dc_max)
+        assert np.isnan(effort) == (want is None)
+        if want is not None:
+            assert effort == pytest.approx(want, rel=1e-9, abs=0.0)
+
+
+def test_effort_cap_boundary_is_exact(fixture10):
+    """A setpoint exactly at the cap is allowed; one ulp less cap is not."""
+    mat = ptdf(fixture10)
+    strat = DeltaStrategy.constant(100.0)
+    effort = control_effort(mat, [(1, 8)], [1], strat, net=fixture10)
+    assert control_effort(mat, [(1, 8)], [1], strat, p_dc_max=effort,
+                          net=fixture10) == effort
+    assert control_effort(mat, [(1, 8)], [1], strat,
+                          p_dc_max=float(np.nextafter(effort, 0.0)),
+                          net=fixture10) is None
+
+
+@pytest.fixture
+def lp_calls(monkeypatch):
+    """Count the effort LPs that place_lp hands to the simplex."""
+    calls = []
+    real = place_lp.solve_lp
+
+    def spy(problem, *args, **kwargs):
+        calls.append(problem)
+        return real(problem, *args, **kwargs)
+
+    monkeypatch.setattr(place_lp, "solve_lp", spy)
+    return calls
+
+
+def test_singular_reachable_block_uses_lp(wheatstone, fixture10, lp_calls):
+    """Two copies of (1,3) see lines 1 and 3 alike: a singular block whose
+    delta lies in its range, so only the LP knows how to split the setpoints."""
+    mat = ptdf(wheatstone)
+    strat = DeltaStrategy.constant(100.0)
+    placements, targets = [(1, 3), (1, 3)], [1, 3]
+    assert control_effort(mat, placements, targets, strat,
+                          net=wheatstone) == pytest.approx(200.0)
+    assert control_effort(mat, placements, targets, strat, p_dc_max=150.0,
+                          net=wheatstone) == pytest.approx(200.0)
+    assert control_effort(mat, placements, targets, strat, p_dc_max=99.0,
+                          net=wheatstone) is None
+    assert len(lp_calls) == 3
+    lp_calls.clear()
+    place_lp_next(fixture10, ptdf(fixture10), [], strat)
+    assert lp_calls == []
+
+
 def test_effort_validation(fixture10):
     mat = ptdf(fixture10)
     strat = DeltaStrategy.constant(100.0)
@@ -127,6 +217,11 @@ def test_effort_validation(fixture10):
         control_effort(mat, [(1, 8), (3, 6)], [4, 4], strat, net=fixture10)
     with pytest.raises(KeyError, match="no in-service line"):
         control_effort(mat, [(1, 8)], [55], strat, net=fixture10)
+    for cap in (-5.0, math.nan):
+        with pytest.raises(ValueError, match="p_dc_max must be >= 0"):
+            control_effort(mat, [(1, 8)], [1], strat, p_dc_max=cap, net=fixture10)
+        with pytest.raises(ValueError, match="p_dc_max must be >= 0"):
+            place_lp_next(fixture10, mat, [], strat, p_dc_max=cap)
 
 
 def test_all_infeasible_property():

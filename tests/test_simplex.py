@@ -112,6 +112,13 @@ def test_stall_raises():
         solve_lp(big, max_iter=1)
 
 
+def test_zero_variables():
+    """Rows with no column: satisfiable only when every right-hand side is 0."""
+    res = solve_lp(lp([], [], [0.0, 0.0], [], []))
+    assert res.status == "optimal" and res.objective == 0.0 and res.x.shape == (0,)
+    assert solve_lp(lp([], [], [0.0, 1.0], [], [])).status == "infeasible"
+
+
 def test_shape_validation():
     with pytest.raises(ValueError):
         solve_lp(LpProblem.build(c=[1.0, 2.0], a_eq=[[1.0, 1.0]], b_eq=[1.0],

@@ -39,20 +39,6 @@ def incidence_matrix(net: Network) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True, eq=False)
-class IncidenceSystem:
-    a: np.ndarray               # (n_B, n_L) signed incidence
-    p_b: np.ndarray             # (n_B,) nodal injections
-    line_ids: tuple[int, ...]
-
-
-def incidence_system(net: Network, inj: InjectionProfile) -> IncidenceSystem:
-    if inj.p.shape != (net.n_bus,):
-        raise ValueError(f"injection length {inj.p.shape[0]} != n_bus {net.n_bus}")
-    return IncidenceSystem(a=incidence_matrix(net), p_b=inj.p.copy(),
-                           line_ids=tuple(ln.id for ln in net.lines_in_service))
-
-
 @dataclass(frozen=True)
 class BoundsReport:
     series_bound: int           # sup count of series (flow-pinning) devices
@@ -84,24 +70,26 @@ def solve_fixed_flows(net: Network, inj: InjectionProfile,
 
     ``fixed`` maps line id -> flow (p.u., from->to sign).  Unknown ids raise.
     """
-    sys = incidence_system(net, inj)
-    id_to_col = {lid: k for k, lid in enumerate(sys.line_ids)}
+    if inj.p.shape != (net.n_bus,):
+        raise ValueError(f"injection length {inj.p.shape[0]} != n_bus {net.n_bus}")
+    a = incidence_matrix(net)
+    id_to_col = {ln.id: k for k, ln in enumerate(net.lines_in_service)}
     for lid in fixed:
         if lid not in id_to_col:
             raise KeyError(f"no in-service line with id {lid}")
     fixed_cols = [id_to_col[lid] for lid in fixed]
     fixed_vals = np.array([fixed[lid] for lid in fixed], dtype=float)
-    free_cols = [k for k in range(len(sys.line_ids)) if k not in set(fixed_cols)]
+    free_cols = [k for k in range(a.shape[1]) if k not in set(fixed_cols)]
 
-    rhs = sys.p_b - (sys.a[:, fixed_cols] @ fixed_vals if fixed_cols else 0.0)
-    a_free = sys.a[:, free_cols]
+    rhs = inj.p - (a[:, fixed_cols] @ fixed_vals if fixed_cols else 0.0)
+    a_free = a[:, free_cols]
     r = matrix_rank(a_free)
     r_aug = matrix_rank(np.column_stack([a_free, rhs]))
     if r_aug > r:
         return FixedFlowResult(status="inconsistent")
     if r < len(free_cols):
         return FixedFlowResult(status="underdetermined", freedom=len(free_cols) - r)
-    flows = np.empty(len(sys.line_ids))
+    flows = np.empty(a.shape[1])
     flows[fixed_cols] = fixed_vals
     if free_cols:
         sol, *_ = np.linalg.lstsq(a_free, rhs, rcond=None)

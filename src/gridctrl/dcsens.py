@@ -220,16 +220,30 @@ def remove_line(net: Network, line_id: int) -> Network:
         ln if ln.id != line_id else replace(ln, in_service=False) for ln in net.lines))
 
 
-def is_bridge(net: Network, line_id: int) -> bool:
-    """True when the line's outage would split the network."""
-    return len(connected_components(remove_line(net, line_id))) > 1
+def bridges(net: Network) -> frozenset[int]:
+    """Ids of the in-service lines whose outage would split the network.
+
+    One reduced inverse decides every line.  With every reactance set to 1,
+    h_k = inc[k] @ inv(inc.T @ inc) @ inc[k] (slack deleted) is line k's
+    effective resistance.  It is exactly 1 when no cycle contains the line,
+    and at most 1 - 1/n_B when one does: the line is then in parallel with a
+    path of at most n_B - 1 unit resistors.  The threshold 1 - 0.5/n_B lies
+    between the two.  The test is structural: it ignores reactances, so a
+    near-bridge (a line whose outage leaves an almost singular LODF
+    denominator) is not a bridge.  Requires a connected network.
+    """
+    _require_connected(net)
+    sus = build_susceptance(net)
+    inc = np.sign(sus.b_line)
+    h = ((inc @ _reduced_inverse(inc.T @ inc, sus.slack_index)) * inc).sum(axis=1)
+    return frozenset(lid for lid, hk in zip(sus.line_ids, h) if hk > 1.0 - 0.5 / net.n_bus)
 
 
 def lodf(net: Network) -> LodfMatrix:
-    _require_connected(net)
     mat = ptdf(net)
     lines = net.lines_in_service
-    bridge = np.array([is_bridge(net, ln.id) for ln in lines], dtype=bool)
+    islanding = bridges(net)
+    bridge = np.array([ln.id in islanding for ln in lines], dtype=bool)
     h = cv_matrix(mat, [(ln.from_bus, ln.to_bus) for ln in lines]).T
     denom = np.where(bridge, np.nan, 1.0 - np.diag(h))     # bridge columns come out NaN
     singular = np.flatnonzero(np.abs(denom) < 1e-9)

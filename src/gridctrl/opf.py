@@ -24,10 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dcsens import PtdfMatrix, cv_matrix, is_bridge, lodf, ptdf, remove_line
+from .dcsens import PtdfMatrix, bridges, cv_matrix, lodf, ptdf, remove_line
 from .netmodel import Network
 from .place_cv import run_cv_placement
-from .place_lp import DeltaStrategy, run_lp_placement
+from .place_lp import DeltaStrategy, check_p_dc_max, run_lp_placement
 from .simplex import LpProblem, SimplexNumericalError, solve_lp
 
 PREVENTIVE = "preventive"
@@ -75,7 +75,8 @@ def _gen_segments(gen, n_segments: int) -> list[tuple[float, float]]:
 
 def default_contingencies(net: Network) -> list[int]:
     """All in-service lines whose outage keeps the network connected."""
-    return [ln.id for ln in net.lines_in_service if not is_bridge(net, ln.id)]
+    islanding = bridges(net)
+    return [ln.id for ln in net.lines_in_service if ln.id not in islanding]
 
 
 def _check_contingencies(net: Network, contingencies: list[int] | None) -> list[int]:
@@ -87,7 +88,8 @@ def _check_contingencies(net: Network, contingencies: list[int] | None) -> list[
         raise ValueError(f"unknown or out-of-service contingency line ids: {unknown}")
     if len(set(contingencies)) != len(contingencies):
         raise ValueError("contingency line ids must be distinct")
-    islanding = [cid for cid in contingencies if is_bridge(net, cid)]
+    islanded = bridges(net)
+    islanding = [cid for cid in contingencies if cid in islanded]
     if islanding:
         raise ValueError(
             "these contingencies would island the network: "
@@ -97,6 +99,7 @@ def _check_contingencies(net: Network, contingencies: list[int] | None) -> list[
 
 def _solve(net: Network, placements: list[tuple[int, int]], p_dc_max: float,
            contingencies: list[int], mode: str, n_segments: int) -> OpfSolution:
+    check_p_dc_max(p_dc_max)
     base = ptdf(net)
     lines = net.lines_in_service
     n_l = len(lines)
@@ -111,6 +114,8 @@ def _solve(net: Network, placements: list[tuple[int, int]], p_dc_max: float,
         for width, slope in _gen_segments(g, n_segments):
             seg_slots.append((gi, width, slope))
     n_seg = len(seg_slots)
+    seg_cols = np.array([base.bus_column(gens[gi].bus) for gi, _w, _sl in seg_slots],
+                        dtype=np.intp)
     n_dc = len(placements)
     dc0 = n_seg
     dcc_start = {}
@@ -127,64 +132,51 @@ def _solve(net: Network, placements: list[tuple[int, int]], p_dc_max: float,
     def flow_terms(mat: PtdfMatrix, dc_offset: int) -> tuple[np.ndarray, np.ndarray]:
         """Core-variable coefficients and constant offset of the line flows."""
         coef = np.zeros((mat.values.shape[0], n_core))
-        for s, (gi, _w, _sl) in enumerate(seg_slots):
-            coef[:, s] = mat.values[:, mat.bus_column(gens[gi].bus)]
+        coef[:, :n_seg] = mat.values[:, seg_cols]
         coef[:, dc_offset:dc_offset + n_dc] = cv_matrix(mat, placements).T
         return coef, mat.values @ inj_fixed
 
     f_base, off_base = flow_terms(base, dc0)
 
-    # each entry: coefficient vector over core vars, upper bound on its value
-    ineq: list[tuple[np.ndarray, float]] = []
-
-    def bound_flow(vec: np.ndarray, off: float, limit: float) -> None:
-        if math.isinf(limit):
-            return
-        ineq.append((vec, limit - off))
-        ineq.append((-vec, limit + off))
-
-    for l in range(n_l):
-        bound_flow(f_base[l], off_base[l], limits[l])
-
+    # One network state per block of limit rows, the intact grid first: flow
+    # coefficients over the core variables (n_L, n_core), flow offsets
+    # (n_L,), and the outaged line's index (-1 for none).
+    states = [(f_base, off_base, -1)]
     if contingencies and mode == PREVENTIVE:
-        dist = lodf(net)
+        dist = lodf(net).values
         for cid in contingencies:
             k = line_pos[cid]
-            col = dist.values[:, k]
-            for l in range(n_l):
-                if l == k:
-                    continue
-                bound_flow(f_base[l] + col[l] * f_base[k],
-                           off_base[l] + col[l] * off_base[k], limits[l])
-    elif contingencies and mode == CORRECTIVE:
+            states.append((f_base + dist[:, [k]] * f_base[k],
+                           off_base + dist[:, k] * off_base[k], k))
+    elif mode == CORRECTIVE:
+        # fresh outage PTDFs, padded back to n_L rows at the outaged line
         for cid in contingencies:
             k = line_pos[cid]
-            sub = ptdf(remove_line(net, cid))
-            f_sub, off_sub = flow_terms(sub, dcc_start[cid])
-            sub_rows = {lid: r for r, lid in enumerate(sub.line_ids)}
-            for l in range(n_l):
-                if l == k:
-                    continue
-                r = sub_rows[lines[l].id]
-                bound_flow(f_sub[r], off_sub[r], limits[l])
+            coef, off = flow_terms(ptdf(remove_line(net, cid)), dcc_start[cid])
+            states.append((np.insert(coef, k, 0.0, axis=0), np.insert(off, k, 0.0), k))
+    coefs, offsets, outaged = (np.array(v) for v in zip(*states))
+    keep = np.isfinite(limits) & (np.arange(n_l) != outaged[:, None])
+    vecs, offs = coefs[keep], offsets[keep]
+    lims = np.broadcast_to(limits, keep.shape)[keep]
 
-    n_slack = len(ineq)
+    n_slack = 2 * len(vecs)
     n_vars = n_core + n_slack
     a = np.zeros((1 + n_slack, n_vars))
     b = np.zeros(1 + n_slack)
     a[0, :n_seg] = 1.0
     b[0] = float(load.sum()) - sum(g.p_min for g in gens)
-    for i, (vec, ub) in enumerate(ineq):
-        a[1 + i, :n_core] = vec
-        a[1 + i, n_core + i] = 1.0
-        b[1 + i] = ub
+    # limit rows alternate +flow <= limit - off and -flow <= limit + off
+    a[1::2, :n_core] = vecs
+    a[2::2, :n_core] = -vecs
+    b[1::2] = lims - offs
+    b[2::2] = lims + offs
+    np.fill_diagonal(a[1:, n_core:], 1.0)
 
     lower = np.zeros(n_vars)
     upper = np.full(n_vars, np.inf)
     cost = np.zeros(n_vars)
-    for s, (_gi, width, slope) in enumerate(seg_slots):
-        upper[s] = width
-        cost[s] = slope
+    upper[:n_seg] = [width for _gi, width, _sl in seg_slots]
+    cost[:n_seg] = [slope for _gi, _w, slope in seg_slots]
     lower[n_seg:n_core] = -dc_bound
     upper[n_seg:n_core] = dc_bound
 

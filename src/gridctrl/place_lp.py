@@ -94,6 +94,12 @@ class EffortResult:
         return self.lp_count > 0 and self.infeasible_sets == self.lp_count
 
 
+def check_p_dc_max(p_dc_max: float) -> None:
+    """Reject a setpoint cap that is negative or NaN (MW; inf means no cap)."""
+    if not p_dc_max >= 0.0:
+        raise ValueError(f"setpoint cap p_dc_max must be >= 0 MW, got {p_dc_max}")
+
+
 def _effort(cv_rows: np.ndarray, deltas: np.ndarray, p_dc_max: float) -> float | None:
     """min sum|P_DC| for CV_rows @ P_DC = deltas; None when infeasible."""
     k, n_dc = cv_rows.shape
@@ -124,8 +130,7 @@ def _efforts(blocks: np.ndarray, deltas: np.ndarray, p_dc_max: float) -> np.ndar
     residual, which is no smaller, so the LP would report it infeasible too.
     The remaining singular blocks are handed to the effort LP.
     """
-    if not p_dc_max >= 0.0:
-        raise ValueError(f"setpoint cap p_dc_max must be >= 0 MW, got {p_dc_max}")
+    check_p_dc_max(p_dc_max)
     efforts = np.full(blocks.shape[0], np.nan)
     u, sigma = np.linalg.svd(blocks)[:2]
     small = sigma <= PIVOT_TOL * np.maximum(sigma[:, :1], 1.0)

@@ -125,6 +125,11 @@ def test_fixed_flows_unknown_line(triangle3):
         solve_fixed_flows(triangle3, InjectionProfile(np.zeros(3)), {9: 0.0})
 
 
+def test_fixed_flows_injection_length(triangle3):
+    with pytest.raises(ValueError, match="injection length 2 != n_bus 3"):
+        solve_fixed_flows(triangle3, InjectionProfile(np.zeros(2)), {})
+
+
 # ---------------------------------------------------------------------------
 # controllability rank
 

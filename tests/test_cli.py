@@ -123,17 +123,42 @@ def test_one_bus_case_has_no_pair_to_place(capsys, tmp_path, argv):
     assert err == "error: case has no node pair to place\n"
 
 
-@pytest.mark.parametrize("command", ["lodf", "sc-opf"])
-def test_near_bridge_outage_is_input_error(capsys, tmp_path, command):
+@pytest.fixture
+def near_bridge_case(tmp_path):
     """Line 1-2 carries almost all of a 1->2 transfer, so its outage
-    denominator 1 - PTDF is about 5e-12: too close to a bridge to divide by."""
+    denominator 1 - PTDF is about 5e-12, although the triangle has no bridge."""
     path = tmp_path / "near_bridge.json"
     path.write_text(native_doc(
         [1, 2, 3], [(1, 1, 2, 1e-7, 100.0), (2, 2, 3, 1e4, 100.0), (3, 1, 3, 1e4, 100.0)],
         gens=[(1, 0.0, 200.0, (0.0, 10.0))], loads=[(3, 50.0)]))
-    code, out, err = cli(capsys, command, str(path))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["lodf", "sc-opf"])
+def test_near_bridge_outage_is_input_error(capsys, near_bridge_case, command):
+    """LODF-based paths cannot divide by the near-bridge's denominator."""
+    code, out, err = cli(capsys, command, near_bridge_case)
     assert (code, out) == (2, "")
     assert err == "error: line 1: outage denominator 5.000e-12 is numerically singular\n"
+
+
+def test_near_bridge_outage_solves_corrective(capsys, near_bridge_case):
+    """A near-bridge is no structural bridge, so corrective SC-OPF keeps its
+    outage as a contingency and solves it on the outaged topology."""
+    code, out, err = cli(capsys, "sc-opf", near_bridge_case, "--mode", "corrective",
+                         "--output", "csv")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[:2] == ["status,optimal", "cost,500"]
+
+
+@pytest.mark.parametrize("cap", ["-5", "nan"])
+@pytest.mark.parametrize("argv", [
+    ["opf", "--place", "1,8"], ["sc-opf", "--place", "1,8"],
+    ["sc-opf", "--mode", "corrective", "--place", "1,8"], ["cos-curve", "--max", "1"]])
+def test_bad_pdc_max_is_input_error(capsys, argv, cap):
+    code, out, err = cli(capsys, argv[0], FIXTURE10, *argv[1:], "--pdc-max", cap)
+    assert (code, out) == (2, "")
+    assert err == f"error: setpoint cap p_dc_max must be >= 0 MW, got {float(cap)}\n"
 
 
 def test_analysis_gate_rejects_invalid_case(capsys, disconnected_case):

@@ -9,24 +9,26 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import angle_flows, unit_pair, without_line
 from gridctrl.dcsens import (
     DisconnectedNetworkError,
     InjectionProfile,
     apply_hvdc,
+    bridges,
     build_susceptance,
     cv,
     cv_matrix,
     dc_flow,
-    is_bridge,
     lodf,
     node_pairs,
     ptdf,
     remove_line,
     tcsc_sensitivity,
 )
-from gridctrl.netmodel import Bus, Line, Network
+from gridctrl.netmodel import Bus, Line, Network, connected_components
 
 
 def balanced_profiles(net, count, seed):
@@ -302,10 +304,46 @@ def test_remove_line_unknown(fixture10):
         remove_line(fixture10, 99)
 
 
-def test_is_bridge(case14, fixture10):
-    assert is_bridge(case14, 14)
-    assert [lid for lid in range(1, 21) if is_bridge(case14, lid)] == [14]
-    assert not any(is_bridge(fixture10, ln.id) for ln in fixture10.lines)
+def test_bridges(case14, fixture10):
+    assert bridges(case14) == {14}
+    assert bridges(fixture10) == frozenset()
+
+
+def test_bridges_disconnected_raises():
+    net = Network(buses=(Bus(1, True), Bus(2), Bus(3)), lines=(Line(1, 1, 2, 0.1),))
+    with pytest.raises(DisconnectedNetworkError):
+        bridges(net)
+
+
+@st.composite
+def multigraphs(draw):
+    """A connected multigraph: a random spanning tree in random orientation,
+    extra lines that may run parallel to others, some extra lines out of
+    service, reactances from 1e-6 to 1e4 and a random slack bus."""
+    n = draw(st.integers(2, 9))
+    slack = draw(st.integers(1, n))
+    ends = [(draw(st.integers(1, b - 1)), b) for b in range(2, n + 1)]
+    ends += draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n))
+                          .filter(lambda e: e[0] != e[1]), max_size=2 * n))
+    lines = []
+    for i, (f, t) in enumerate(ends, start=1):
+        if draw(st.booleans()):
+            f, t = t, f
+        x = 10.0 ** draw(st.floats(-6.0, 4.0))
+        in_service = i < n or draw(st.integers(0, 3)) > 0
+        lines.append(Line(i, f, t, x, in_service=in_service))
+    return Network(buses=tuple(Bus(b, b == slack) for b in range(1, n + 1)),
+                   lines=tuple(lines))
+
+
+@settings(max_examples=200, deadline=None)
+@given(net=multigraphs())
+def test_bridges_match_outage_components(net):
+    """Brute force: a line is a bridge iff its outage leaves more than one
+    component."""
+    oracle = {ln.id for ln in net.lines_in_service
+              if len(connected_components(remove_line(net, ln.id))) > 1}
+    assert bridges(net) == oracle
 
 
 def test_lodf_diagonal(fixture10):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dcsens import InjectionProfile, PtdfMatrix, cv_matrix, ptdf
+from .dcsens import InjectionProfile, PtdfMatrix, build_susceptance, cv_matrix, ptdf
 from .netmodel import Network, connected_components
 
 RANK_REL_TOL = 1e-8
@@ -30,13 +30,9 @@ def matrix_rank(a: np.ndarray) -> int:
 
 
 def incidence_matrix(net: Network) -> np.ndarray:
-    """Signed incidence over in-service lines, (n_B, n_L)."""
-    lines = net.lines_in_service
-    a = np.zeros((net.n_bus, len(lines)))
-    for k, ln in enumerate(lines):
-        a[net.bus_index[ln.from_bus], k] = 1.0
-        a[net.bus_index[ln.to_bus], k] = -1.0
-    return a
+    """Signed incidence over in-service lines, (n_B, n_L): the sign pattern
+    of B_line, whose reactances are all positive."""
+    return np.sign(build_susceptance(net).b_line).T
 
 
 @dataclass(frozen=True)

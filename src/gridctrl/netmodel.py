@@ -220,60 +220,75 @@ def merge_parallel_lines(net: Network) -> Network:
     pass through untouched.  Idempotent.
     """
     groups: dict[tuple[int, int], list[Line]] = {}
-    for ln in net.lines:
-        if ln.in_service:
-            key = (min(ln.from_bus, ln.to_bus), max(ln.from_bus, ln.to_bus))
-            groups.setdefault(key, []).append(ln)
-    merged_of: dict[int, Line] = {}
-    for key, members in groups.items():
-        if len(members) < 2:
-            continue
-        keep = min(members, key=lambda ln: ln.id)
-        x_eq = 1.0 / sum(1.0 / ln.reactance for ln in members)
-        limit = sum(ln.limit for ln in members)
-        merged_of[keep.id] = Line(
-            id=keep.id, from_bus=keep.from_bus, to_bus=keep.to_bus,
-            reactance=x_eq, limit=limit, in_service=True,
-        )
-        for ln in members:
-            if ln.id != keep.id:
-                merged_of[ln.id] = None  # type: ignore[assignment]
-    if not merged_of:
+    for ln in net.lines_in_service:
+        groups.setdefault((min(ln.from_bus, ln.to_bus), max(ln.from_bus, ln.to_bus)), []).append(ln)
+    merged: dict[int, Line] = {}
+    dropped: set[int] = set()
+    for members in groups.values():
+        if len(members) > 1:
+            keep = min(members, key=lambda ln: ln.id)
+            merged[keep.id] = replace(keep, reactance=1.0 / sum(1.0 / ln.reactance for ln in members),
+                                      limit=sum(ln.limit for ln in members))
+            dropped.update(ln.id for ln in members if ln is not keep)
+    if not merged:
         return net
-    new_lines = []
-    for ln in net.lines:
-        if ln.id in merged_of:
-            repl = merged_of[ln.id]
-            if repl is not None:
-                new_lines.append(repl)
-        else:
-            new_lines.append(ln)
-    return replace(net, lines=tuple(new_lines))
+    return replace(net, lines=tuple(merged.get(ln.id, ln) for ln in net.lines if ln.id not in dropped))
 
 
 # ---------------------------------------------------------------------------
 # native JSON format
 
+def _finite(val, what: str) -> float:
+    """A case-file number as a finite float; ``what`` names it in the error."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        raise CaseFormatError(f"{what} must be a number, got {type(val).__name__}")
+    try:
+        out = float(val)
+    except OverflowError:
+        out = math.inf
+    if not math.isfinite(out):
+        raise CaseFormatError(f"{what} must be a finite number")
+    return out
+
+
 def _req(doc: dict, key: str, kind: type, where: str):
+    """``doc[key]`` as a finite float (``kind`` float) or an integer (``kind`` int)."""
     if key not in doc:
         raise CaseFormatError(f"{where}: missing required key '{key}'")
     val = doc[key]
     if kind is float:
-        if isinstance(val, bool) or not isinstance(val, (int, float)):
-            raise CaseFormatError(f"{where}: key '{key}' must be a number, got {type(val).__name__}")
-        return float(val)
-    if kind is int:
-        if isinstance(val, bool) or not isinstance(val, int):
-            raise CaseFormatError(f"{where}: key '{key}' must be an integer, got {type(val).__name__}")
-        return val
-    if not isinstance(val, kind):
-        raise CaseFormatError(f"{where}: key '{key}' must be {kind.__name__}, got {type(val).__name__}")
+        return _finite(val, f"{where}: key '{key}'")
+    if isinstance(val, bool) or not isinstance(val, int):
+        raise CaseFormatError(f"{where}: key '{key}' must be an integer, got {type(val).__name__}")
     return val
+
+
+# a JSON string, or one of the three constants json.loads accepts beyond the standard
+_JSON_STRING_OR_CONSTANT = re.compile(r'"(?:[^"\\]|\\.)*"|-?Infinity|NaN')
+
+
+def _reject_constant(text: str, name: str):
+    """json.loads hook for NaN and +-Infinity.  Every string before the first
+    constant is well formed, so the first match outside a string is that one."""
+    pos = next(m.start() for m in _JSON_STRING_OR_CONSTANT.finditer(text) if m.group()[0] != '"')
+    raise CaseFormatError(f"non-finite number {name} is not allowed",
+                          line=text.count("\n", 0, pos) + 1, col=pos - text.rfind("\n", 0, pos))
+
+
+def _entries(doc: dict, key: str):
+    """(where, entry) for each entry of the top-level array ``key``."""
+    entries = doc.get(key, [])
+    if not isinstance(entries, list):
+        raise CaseFormatError(f"key '{key}' must be an array")
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise CaseFormatError(f"{key}[{i}]: must be an object")
+        yield f"{key}[{i}]", entry
 
 
 def _parse_native(text: str) -> Network:
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_constant=lambda name: _reject_constant(text, name))
     except json.JSONDecodeError as exc:
         raise CaseFormatError(exc.msg, line=exc.lineno, col=exc.colno) from exc
     if not isinstance(doc, dict):
@@ -281,31 +296,21 @@ def _parse_native(text: str) -> Network:
     base = _req(doc, "base_mva", float, "case")
     if base <= 0.0:
         raise CaseFormatError("base_mva must be > 0")
-    for key in ("buses", "lines", "generators", "loads"):
-        if key in doc and not isinstance(doc[key], list):
-            raise CaseFormatError(f"key '{key}' must be an array")
     known = {"base_mva", "buses", "lines", "generators", "loads", "name"}
     for key in doc:
         if key not in known:
             raise CaseFormatError(f"unknown top-level key '{key}'")
 
-    buses = []
-    for i, b in enumerate(doc.get("buses", [])):
-        where = f"buses[{i}]"
-        if not isinstance(b, dict):
-            raise CaseFormatError(f"{where}: must be an object")
-        buses.append(Bus(id=_req(b, "id", int, where), is_slack=bool(b.get("is_slack", False))))
+    buses = [Bus(id=_req(b, "id", int, where), is_slack=bool(b.get("is_slack", False)))
+             for where, b in _entries(doc, "buses")]
 
     lines = []
-    for i, l in enumerate(doc.get("lines", [])):
-        where = f"lines[{i}]"
-        if not isinstance(l, dict):
-            raise CaseFormatError(f"{where}: must be an object")
+    for where, l in _entries(doc, "lines"):
         raw_limit = l.get("limit", "unlimited")
         if raw_limit == "unlimited":
             limit = UNLIMITED
         elif isinstance(raw_limit, (int, float)) and not isinstance(raw_limit, bool):
-            limit = float(raw_limit) / base
+            limit = _finite(_finite(raw_limit, f"{where}: limit") / base, f"{where}: limit in per unit")
         else:
             raise CaseFormatError(f"{where}: limit must be a number or \"unlimited\"")
         lines.append(Line(
@@ -318,36 +323,49 @@ def _parse_native(text: str) -> Network:
         ))
 
     gens = []
-    for i, g in enumerate(doc.get("generators", [])):
-        where = f"generators[{i}]"
-        if not isinstance(g, dict):
-            raise CaseFormatError(f"{where}: must be an object")
+    for where, g in _entries(doc, "generators"):
         cost_raw = g.get("cost", [0.0, 0.0, 0.0])
         if (not isinstance(cost_raw, list) or len(cost_raw) > 3
                 or any(isinstance(c, bool) or not isinstance(c, (int, float)) for c in cost_raw)):
             raise CaseFormatError(f"{where}: cost must be [c0], [c0,c1] or [c0,c1,c2]")
-        c = list(cost_raw) + [0.0] * (3 - len(cost_raw))
+        c = [_finite(v, f"{where}: cost[{j}]") for j, v in enumerate(cost_raw)]
+        c += [0.0] * (3 - len(c))
         gens.append(Generator(
             bus=_req(g, "bus", int, where),
             p_min=_req(g, "p_min", float, where) / base,
             p_max=_req(g, "p_max", float, where) / base,
-            cost=(float(c[0]), float(c[1]) * base, float(c[2]) * base * base),
+            cost=(c[0], c[1] * base, c[2] * base * base),
         ))
 
-    loads = []
-    for i, d in enumerate(doc.get("loads", [])):
-        where = f"loads[{i}]"
-        if not isinstance(d, dict):
-            raise CaseFormatError(f"{where}: must be an object")
-        loads.append(Load(bus=_req(d, "bus", int, where), p=_req(d, "p", float, where) / base))
-
+    loads = [Load(bus=_req(d, "bus", int, where), p=_req(d, "p", float, where) / base)
+             for where, d in _entries(doc, "loads")]
     return Network(buses=tuple(buses), lines=tuple(lines),
                    generators=tuple(gens), loads=tuple(loads), base_mva=base)
 
 
+def _file_number(value: float, guess: float, to_pu) -> float:
+    """The file number that the increasing unit conversion ``to_pu`` reads
+    back as exactly ``value``: ``guess``, the plain inverse, stepped by the
+    few ulps that rounding can put it off."""
+    for _ in range(8):
+        got = to_pu(guess)
+        if got == value:
+            break
+        guess = math.nextafter(guess, math.inf if got < value else -math.inf)
+    return guess
+
+
 def serialize_case(net: Network) -> str:
-    """Emit the native JSON format (MW quantities), LF line endings."""
+    """Emit the native JSON format (MW quantities), LF line endings.
+
+    Every number is chosen so that :func:`parse_case` gives back the same
+    per-unit value, bit for bit.
+    """
     base = net.base_mva
+
+    def mw(v: float) -> float:
+        return _file_number(v, v * base, lambda f: f / base)
+
     doc: dict = {
         "base_mva": base,
         "buses": [
@@ -357,19 +375,21 @@ def serialize_case(net: Network) -> str:
             {
                 "id": ln.id, "from_bus": ln.from_bus, "to_bus": ln.to_bus,
                 "reactance": ln.reactance,
-                "limit": "unlimited" if math.isinf(ln.limit) else ln.limit * base,
+                "limit": "unlimited" if math.isinf(ln.limit) else mw(ln.limit),
                 "in_service": ln.in_service,
             }
             for ln in net.lines
         ],
         "generators": [
             {
-                "bus": g.bus, "p_min": g.p_min * base, "p_max": g.p_max * base,
-                "cost": [g.cost[0], g.cost[1] / base, g.cost[2] / (base * base)],
+                "bus": g.bus, "p_min": mw(g.p_min), "p_max": mw(g.p_max),
+                "cost": [g.cost[0], _file_number(g.cost[1], g.cost[1] / base, lambda c: c * base),
+                         _file_number(g.cost[2], g.cost[2] / base / base,
+                                      lambda c: c * base * base)],
             }
             for g in net.generators
         ],
-        "loads": [{"bus": d.bus, "p": d.p * base} for d in net.loads],
+        "loads": [{"bus": d.bus, "p": mw(d.p)} for d in net.loads],
     }
     return json.dumps(doc, indent=2) + "\n"
 
@@ -403,10 +423,13 @@ def _parse_matpower_tables(text: str) -> tuple[dict[str, list[list[float]]], flo
             row = []
             for tok in chunk.split():
                 try:
-                    row.append(float(tok))
+                    val = float(tok)
                 except ValueError:
-                    col = fragment.find(tok) + 1
-                    raise CaseFormatError(f"not a number: '{tok}'", line=lineno, col=col) from None
+                    val = None
+                if val is None or not math.isfinite(val):
+                    what = "not a number" if val is None else "not a finite number"
+                    raise CaseFormatError(f"{what}: '{tok}'", line=lineno, col=fragment.find(tok) + 1)
+                row.append(val)
             tables[current].append(row)
         return closed
 
@@ -439,7 +462,9 @@ def _parse_matpower_tables(text: str) -> tuple[dict[str, list[list[float]]], flo
                 try:
                     base_mva = float(value)
                 except ValueError:
-                    raise CaseFormatError(f"baseMVA must be a number, got '{value}'", line=lineno) from None
+                    base_mva = math.nan
+                if not math.isfinite(base_mva):
+                    raise CaseFormatError(f"baseMVA must be a finite number, got '{value}'", line=lineno)
             elif name == "version":
                 pass
             else:
@@ -491,7 +516,8 @@ def _parse_matpower(text: str) -> Network:
             from_bus=int(row[0]),
             to_bus=int(row[1]),
             reactance=row[3],
-            limit=UNLIMITED if rate_a == 0.0 else rate_a / base,
+            limit=(UNLIMITED if rate_a == 0.0
+                   else _finite(rate_a / base, f"branch row {i + 1}: limit in per unit")),
             in_service=row[10] != 0.0,
         ))
 
@@ -548,6 +574,11 @@ def _check_parsed(net: Network) -> None:
         seen_l.add(ln.id)
         if not ln.reactance > 0.0:
             raise CaseFormatError(f"line {ln.id}: reactance must be > 0, got {ln.reactance}")
+    scaled = [(f"generator {i}", (g.p_min, g.p_max, *g.cost)) for i, g in enumerate(net.generators)]
+    scaled += [(f"load {i}", (ld.p,)) for i, ld in enumerate(net.loads)]
+    for what, values in scaled:
+        if not all(map(math.isfinite, values)):
+            raise CaseFormatError(f"{what}: a value overflows in per unit on base_mva {net.base_mva!r}")
 
 
 def parse_case(text: str, fmt: str = NATIVE_JSON) -> Network:

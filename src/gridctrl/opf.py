@@ -3,13 +3,13 @@
 Everything is one LP over segment variables (piecewise-linearized generator
 costs, exact for linear ones), HVDC setpoints, and one slack per flow bound:
 
-* base case: flows from the intact-network PTDF plus CV columns;
+* network states: the intact grid and, for SC-OPF, one outaged copy per
+  contingency.  Each state's flows come from its own PTDF plus CV columns,
+  so a post-contingency flow is computed on the outaged topology;
 * preventive mode: one dispatch and one HVDC setpoint vector must satisfy
-  every post-contingency flow, obtained from the base flows through LODF
-  redistribution (HVDC injections redistribute like any other injection);
+  every state's flow limits;
 * corrective mode: the dispatch is shared but each contingency gets its own
-  HVDC setpoint vector, and post-contingency sensitivities are recomputed on
-  the outaged topology.
+  HVDC setpoint vector, which only that state's rows read.
 
 The reported cost is the optimized objective plus the constant cost of every
 generator sitting at p_min; for linear cost polynomials this equals the
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dcsens import PtdfMatrix, bridges, cv_matrix, lodf, ptdf, remove_line
+from .dcsens import bridges, cv_matrix, ptdf, remove_line
 from .netmodel import Network
 from .place_cv import run_cv_placement
 from .place_lp import DeltaStrategy, check_p_dc_max, run_lp_placement
@@ -69,8 +69,7 @@ def _gen_segments(gen, n_segments: int) -> list[tuple[float, float]]:
     points = np.linspace(gen.p_min, gen.p_max, n_segments + 1)
     costs = np.array([gen.cost_at(p) for p in points])
     widths = np.diff(points)
-    slopes = np.diff(costs) / widths
-    return list(zip(widths, slopes))
+    return list(zip(widths, np.diff(costs) / widths))
 
 
 def default_contingencies(net: Network) -> list[int]:
@@ -91,73 +90,46 @@ def _check_contingencies(net: Network, contingencies: list[int] | None) -> list[
     islanded = bridges(net)
     islanding = [cid for cid in contingencies if cid in islanded]
     if islanding:
-        raise ValueError(
-            "these contingencies would island the network: "
-            + ", ".join(str(c) for c in islanding))
+        raise ValueError("these contingencies would island the network: "
+                         + ", ".join(map(str, islanding)))
     return list(contingencies)
 
 
 def _solve(net: Network, placements: list[tuple[int, int]], p_dc_max: float,
            contingencies: list[int], mode: str, n_segments: int) -> OpfSolution:
     check_p_dc_max(p_dc_max)
-    base = ptdf(net)
-    lines = net.lines_in_service
-    n_l = len(lines)
-    line_pos = {ln.id: k for k, ln in enumerate(lines)}
-    limits = np.array([ln.limit for ln in lines])
+    line_ids = tuple(ln.id for ln in net.lines_in_service)
     load = np.array(net.load_vector)
     gens = net.generators
     dc_bound = p_dc_max / net.base_mva
 
-    seg_slots: list[tuple[int, float, float]] = []   # (gen index, width, slope)
-    for gi, g in enumerate(gens):
-        for width, slope in _gen_segments(g, n_segments):
-            seg_slots.append((gi, width, slope))
+    seg_slots = [(gi, width, slope)                   # (gen index, width, slope)
+                 for gi, g in enumerate(gens) for width, slope in _gen_segments(g, n_segments)]
     n_seg = len(seg_slots)
-    seg_cols = np.array([base.bus_column(gens[gi].bus) for gi, _w, _sl in seg_slots],
-                        dtype=np.intp)
+    seg_cols = [net.bus_index[gens[gi].bus] for gi, _w, _sl in seg_slots]
     n_dc = len(placements)
-    dc0 = n_seg
-    dcc_start = {}
-    n_core = n_seg + n_dc
-    if mode == CORRECTIVE:
-        for c in contingencies:
-            dcc_start[c] = n_core
-            n_core += n_dc
 
     inj_fixed = -load.copy()
     for g in gens:
         inj_fixed[net.bus_index[g.bus]] += g.p_min
 
-    def flow_terms(mat: PtdfMatrix, dc_offset: int) -> tuple[np.ndarray, np.ndarray]:
-        """Core-variable coefficients and constant offset of the line flows."""
-        coef = np.zeros((mat.values.shape[0], n_core))
+    # One network state per block of limit rows, the intact grid first.  Each
+    # state's rows read the HVDC block that recourse allows: the base block
+    # in preventive mode, the state's own block in corrective mode.
+    states = [net] + [remove_line(net, cid) for cid in contingencies]
+    dc_starts = [n_seg + n_dc * (i if mode == CORRECTIVE else 0) for i in range(len(states))]
+    n_core = dc_starts[-1] + n_dc
+    coefs, offsets = [], []
+    for state, dc in zip(states, dc_starts):
+        mat = ptdf(state)
+        coef = np.zeros((len(mat.line_ids), n_core))
         coef[:, :n_seg] = mat.values[:, seg_cols]
-        coef[:, dc_offset:dc_offset + n_dc] = cv_matrix(mat, placements).T
-        return coef, mat.values @ inj_fixed
-
-    f_base, off_base = flow_terms(base, dc0)
-
-    # One network state per block of limit rows, the intact grid first: flow
-    # coefficients over the core variables (n_L, n_core), flow offsets
-    # (n_L,), and the outaged line's index (-1 for none).
-    states = [(f_base, off_base, -1)]
-    if contingencies and mode == PREVENTIVE:
-        dist = lodf(net).values
-        for cid in contingencies:
-            k = line_pos[cid]
-            states.append((f_base + dist[:, [k]] * f_base[k],
-                           off_base + dist[:, k] * off_base[k], k))
-    elif mode == CORRECTIVE:
-        # fresh outage PTDFs, padded back to n_L rows at the outaged line
-        for cid in contingencies:
-            k = line_pos[cid]
-            coef, off = flow_terms(ptdf(remove_line(net, cid)), dcc_start[cid])
-            states.append((np.insert(coef, k, 0.0, axis=0), np.insert(off, k, 0.0), k))
-    coefs, offsets, outaged = (np.array(v) for v in zip(*states))
-    keep = np.isfinite(limits) & (np.arange(n_l) != outaged[:, None])
-    vecs, offs = coefs[keep], offsets[keep]
-    lims = np.broadcast_to(limits, keep.shape)[keep]
+        coef[:, dc:dc + n_dc] = cv_matrix(mat, placements).T
+        coefs.append(coef)
+        offsets.append(mat.values @ inj_fixed)
+    lims = np.array([ln.limit for state in states for ln in state.lines_in_service])
+    keep = np.isfinite(lims)
+    vecs, offs, lims = np.concatenate(coefs)[keep], np.concatenate(offsets)[keep], lims[keep]
 
     n_slack = 2 * len(vecs)
     n_vars = n_core + n_slack
@@ -182,7 +154,7 @@ def _solve(net: Network, placements: list[tuple[int, int]], p_dc_max: float,
 
     res = solve_lp(LpProblem.build(cost, a, b, lower, upper))
     if res.status == "infeasible":
-        return OpfSolution(status="infeasible", line_ids=tuple(ln.id for ln in lines))
+        return OpfSolution(status="infeasible", line_ids=line_ids)
     if res.status != "optimal":
         raise SimplexNumericalError(f"OPF solve ended '{res.status}'")
 
@@ -190,21 +162,19 @@ def _solve(net: Network, placements: list[tuple[int, int]], p_dc_max: float,
     p_gen = [g.p_min for g in gens]
     for s, (gi, _w, _sl) in enumerate(seg_slots):
         p_gen[gi] += x[s]
-    flows = f_base @ x[:n_core] + off_base
+    flows = coefs[0] @ x[:n_core] + offsets[0]
     total_cost = float(res.objective) + sum(g.cost_at(g.p_min) for g in gens)
     scale = net.base_mva
-    hvdc_cont = None
-    if mode == CORRECTIVE and contingencies:
-        hvdc_cont = {cid: tuple(x[dcc_start[cid] + j] * scale for j in range(n_dc))
-                     for cid in contingencies}
+    setpoints = [tuple(x[dc:dc + n_dc] * scale) for dc in dc_starts]
     return OpfSolution(
         status="optimal",
         cost=total_cost,
         dispatch=Dispatch(p_gen=tuple(p * scale for p in p_gen)),
         flows=tuple(f * scale for f in flows),
-        line_ids=tuple(ln.id for ln in lines),
-        hvdc_base=tuple(x[dc0 + j] * scale for j in range(n_dc)),
-        hvdc_contingency=hvdc_cont,
+        line_ids=line_ids,
+        hvdc_base=setpoints[0],
+        hvdc_contingency=(dict(zip(contingencies, setpoints[1:]))
+                          if mode == CORRECTIVE and contingencies else None),
     )
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gridctrl.cases import case_path
+from gridctrl.cases import case_names, case_path
 from gridctrl.cli import _cell, run
 
 FIXTURE10 = str(case_path("fixture10"))
@@ -104,6 +104,15 @@ def test_malformed_json_is_input_error(capsys, tmp_path):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("bus_id", ["inf", "nan"])
+def test_non_finite_matpower_bus_id_is_input_error(capsys, tmp_path, bus_id):
+    path = tmp_path / "bad.m"
+    path.write_text(case_path("case14").read_text().replace("  1   3  ", f"  {bus_id}   3  ", 1))
+    code, out, err = cli(capsys, "validate", str(path))
+    assert (code, out) == (2, "")
+    assert re.fullmatch(rf"error: line \d+, col \d+: not a finite number: '{bus_id}'\n", err)
+
+
 def test_non_utf8_case_is_input_error(capsys, tmp_path):
     path = tmp_path / "utf16.json"
     path.write_bytes(b"\xff\xfe{}")
@@ -134,21 +143,52 @@ def near_bridge_case(tmp_path):
     return str(path)
 
 
-@pytest.mark.parametrize("command", ["lodf", "sc-opf"])
+@pytest.mark.parametrize("command", ["lodf"])
 def test_near_bridge_outage_is_input_error(capsys, near_bridge_case, command):
-    """LODF-based paths cannot divide by the near-bridge's denominator."""
+    """The LODF cannot divide by the near-bridge's outage denominator."""
     code, out, err = cli(capsys, command, near_bridge_case)
     assert (code, out) == (2, "")
     assert err == "error: line 1: outage denominator 5.000e-12 is numerically singular\n"
 
 
-def test_near_bridge_outage_solves_corrective(capsys, near_bridge_case):
-    """A near-bridge is no structural bridge, so corrective SC-OPF keeps its
-    outage as a contingency and solves it on the outaged topology."""
-    code, out, err = cli(capsys, "sc-opf", near_bridge_case, "--mode", "corrective",
+@pytest.mark.parametrize("mode", ["preventive", "corrective"])
+def test_near_bridge_outage_solves(capsys, near_bridge_case, mode):
+    """A near-bridge is no structural bridge, so SC-OPF keeps its outage as a
+    contingency and solves it on the outaged topology, in either mode."""
+    code, out, err = cli(capsys, "sc-opf", near_bridge_case, "--mode", mode,
                          "--output", "csv")
     assert (code, err) == (0, "")
     assert out.splitlines()[:2] == ["status,optimal", "cost,500"]
+
+
+def _secure_variant_case(tmp_path):
+    """gridbench's first `secure` study at seed 1 (its third draw is the
+    first feasible one)."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "gridbench"))
+    try:
+        import gen
+    finally:
+        sys.path.pop(0)
+    case = gen.secure_variant(gen.rng_for(1, gen.STREAM_SECURE, 2), "sec0")
+    return str(gen.write_case(case, tmp_path, "json"))
+
+
+@pytest.mark.parametrize("case", case_names() + ["gridbench-secure"])
+def test_sc_opf_modes_agree_without_controllers(capsys, tmp_path, case):
+    """With nothing to re-dispatch, corrective recourse is empty and both
+    modes solve one LP: equal payloads, bit for bit, infeasible ones too."""
+    path = _secure_variant_case(tmp_path) if case == "gridbench-secure" else str(case_path(case))
+    runs = [cli(capsys, "sc-opf", path, "--mode", mode, "--output", "json")
+            for mode in ("preventive", "corrective")]
+    (p_code, p_out, p_err), (c_code, c_out, c_err) = runs
+    assert (p_code, p_err) == (c_code, c_err)
+    if p_code:
+        assert p_out == c_out
+        return
+    preventive, corrective = json.loads(p_out), json.loads(c_out)
+    recourse = corrective.pop("hvdc_contingency_mw")
+    assert recourse and all(block["p_mw"] == [] for block in recourse)
+    assert preventive == corrective
 
 
 @pytest.mark.parametrize("cap", ["-5", "nan"])

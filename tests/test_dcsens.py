@@ -316,10 +316,11 @@ def test_bridges_disconnected_raises():
 
 
 @st.composite
-def multigraphs(draw):
+def multigraphs(draw, log_x=(-6.0, 4.0)):
     """A connected multigraph: a random spanning tree in random orientation,
     extra lines that may run parallel to others, some extra lines out of
-    service, reactances from 1e-6 to 1e4 and a random slack bus."""
+    service, reactances from 10**log_x[0] to 10**log_x[1] and a random
+    slack bus."""
     n = draw(st.integers(2, 9))
     slack = draw(st.integers(1, n))
     ends = [(draw(st.integers(1, b - 1)), b) for b in range(2, n + 1)]
@@ -329,7 +330,7 @@ def multigraphs(draw):
     for i, (f, t) in enumerate(ends, start=1):
         if draw(st.booleans()):
             f, t = t, f
-        x = 10.0 ** draw(st.floats(-6.0, 4.0))
+        x = 10.0 ** draw(st.floats(*log_x))
         in_service = i < n or draw(st.integers(0, 3)) > 0
         lines.append(Line(i, f, t, x, in_service=in_service))
     return Network(buses=tuple(Bus(b, b == slack) for b in range(1, n + 1)),
@@ -344,6 +345,25 @@ def test_bridges_match_outage_components(net):
     oracle = {ln.id for ln in net.lines_in_service
               if len(connected_components(remove_line(net, ln.id))) > 1}
     assert bridges(net) == oracle
+
+
+@settings(max_examples=200, deadline=None)
+@given(net=multigraphs(log_x=(-1.0, 1.0)))
+def test_outage_ptdf_is_rank_one_update(net):
+    """The outaged network's PTDF is the intact one plus the LODF column
+    times line k's PTDF row, without row k (Guler, Gross & Liu 2007).
+    Reactances within a decade of 1 keep every outage denominator far from
+    0, so no line is a near-bridge.  A bridge's outage has no PTDF."""
+    p = ptdf(net).values
+    dist = lodf(net)
+    for k, ln in enumerate(net.lines_in_service):
+        if ln.id in dist.islanded:
+            with pytest.raises(DisconnectedNetworkError):
+                ptdf(remove_line(net, ln.id))
+            continue
+        updated = np.delete(p + np.outer(dist.values[:, k], p[k]), k, axis=0)
+        np.testing.assert_allclose(ptdf(remove_line(net, ln.id)).values, updated,
+                                   rtol=0, atol=1e-9)
 
 
 def test_lodf_diagonal(fixture10):

@@ -6,10 +6,14 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import angle_flows
+from gridctrl.cases import case_names, case_path
 from gridctrl.netmodel import (
     MATPOWER_SUBSET,
+    NATIVE_JSON,
     Bus,
     CaseFormatError,
     Generator,
@@ -89,12 +93,38 @@ def test_native_short_cost_forms():
     (lambda d: d["buses"][0].update(id=True), "must be an integer"),
     (lambda d: d.update(generators=[{"bus": 1, "p_min": 0.0, "p_max": 1.0,
                                      "cost": [1, 2, 3, 4]}]), "cost must be"),
+    (lambda d: d.update(base_mva=math.nan), "line 1, col 14: non-finite number NaN"),
+    (lambda d: d.update(loads=[{"bus": 2, "p": math.inf}]), "non-finite number Infinity"),
+    (lambda d: d["lines"][0].update(limit=-math.inf), "non-finite number -Infinity"),
+    (lambda d: d.update(base_mva=10 ** 400), "case: key 'base_mva' must be a finite number"),
+    (lambda d: d["lines"][0].update(limit=10 ** 400), "lines[0]: limit must be a finite number"),
+    (lambda d: d.update(generators=[{"bus": 1, "p_min": 0.0, "p_max": 1.0,
+                                     "cost": [0, -10 ** 400]}]),
+     "generators[0]: cost[1] must be a finite number"),
+    (lambda d: (d.update(base_mva=1e-300), d["lines"][0].update(limit=1e10)),
+     "lines[0]: limit in per unit must be a finite number"),
+    (lambda d: d.update(base_mva=1e300, generators=[{"bus": 1, "p_min": 0.0, "p_max": 1.0,
+                                                     "cost": [0, 0, 1.0]}]),
+     "generator 0: a value overflows in per unit"),
 ])
 def test_native_rejects(mutate, fragment):
     doc = json.loads(json.dumps(MINIMAL))
     mutate(doc)
     with pytest.raises(CaseFormatError, match=re.escape(fragment)):
         native(doc)
+
+
+@pytest.mark.parametrize("text,fragment,col", [
+    ('{\n  "base_mva": 1e400\n}', "case: key 'base_mva' must be a finite number", None),
+    ('{\n  "name": "NaN \\" -Infinity", "base_mva": -Infinity\n}',
+     "line 2, col 43: non-finite number -Infinity", 43),
+])
+def test_native_non_finite_text(text, fragment, col):
+    """An overflowing literal is named by its key; a constant by its place,
+    which a string holding the same word does not shift."""
+    with pytest.raises(CaseFormatError, match=re.escape(fragment)) as info:
+        parse_case(text)
+    assert info.value.col == col
 
 
 def test_native_syntax_error_position():
@@ -123,6 +153,78 @@ def test_parse_time_rejects(doc, fragment):
 def test_roundtrip_exact(triangle3, fixture10, congested3):
     for net in (triangle3, fixture10, congested3):
         assert parse_case(serialize_case(net)) == net
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def parsed_networks(draw):
+    """A network parsed from a native document with arbitrary finite values:
+    multigraph lines, any base_mva and cost, limits or "unlimited"."""
+    n = draw(st.integers(1, 5))
+    bus = st.integers(1, n)
+    doc = {
+        "base_mva": draw(st.floats(min_value=5e-324, allow_infinity=False)),
+        "buses": [{"id": b, "is_slack": b == 1} for b in range(1, n + 1)],
+        "lines": [{"id": i, "from_bus": draw(bus), "to_bus": draw(bus),
+                   "reactance": draw(st.floats(min_value=5e-324, allow_infinity=False)),
+                   "limit": draw(_FINITE | st.just("unlimited")),
+                   "in_service": draw(st.booleans())}
+                  for i in range(1, draw(st.integers(0, 6)) + 1)],
+        "generators": [{"bus": draw(bus), "p_min": draw(_FINITE), "p_max": draw(_FINITE),
+                        "cost": draw(st.lists(_FINITE, max_size=3))}
+                       for _ in range(draw(st.integers(0, 3)))],
+        "loads": [{"bus": draw(bus), "p": draw(_FINITE)} for _ in range(draw(st.integers(0, 3)))],
+    }
+    try:
+        return parse_case(json.dumps(doc))
+    except CaseFormatError:
+        assume(False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(net=parsed_networks())
+def test_roundtrip_generated(net):
+    """Bit-exact, although the parsers scale quadratic costs by base_mva twice."""
+    assert parse_case(serialize_case(net)) == net
+
+
+_NUMBER = re.compile(r"-?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?")
+_TOKENS = ["NaN", "nan", "inf", "Infinity", "-Infinity", "1e400", "-1e400", "1e-400",
+           "9" * 400, "1e308", "1e-308", "0", "-0", "-1", "0.5", "2", "true", "null",
+           '"unlimited"', '""', "[]", "{}", "[", "]", "{", "}", ",", ":", ";", "%", "\n",
+           '"', "mpc.bus = [", "mpc.baseMVA = 0;", "function"]
+
+
+@st.composite
+def mutated_cases(draw):
+    """A bundled case text with one to four edits: a number or a random span
+    replaced by a grammar token or by a few random characters."""
+    name = draw(st.sampled_from(case_names()))
+    text = case_path(name).read_text()
+    for _ in range(draw(st.integers(1, 4))):
+        token = draw(st.sampled_from(_TOKENS) | st.text(max_size=4))
+        spans = [m.span() for m in _NUMBER.finditer(text)]
+        if spans and draw(st.booleans()):
+            start, end = draw(st.sampled_from(spans))
+        else:
+            start = draw(st.integers(0, len(text)))
+            end = start + draw(st.integers(0, 8))
+        text = text[:start] + token + text[end:]
+    return (MATPOWER_SUBSET if name.endswith(".m") else NATIVE_JSON), text
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=mutated_cases())
+def test_parsers_raise_only_case_format_errors(case):
+    """Only CaseFormatError escapes parse_case, and what parses round-trips."""
+    fmt, text = case
+    try:
+        net = parse_case(text, fmt)
+    except CaseFormatError:
+        return
+    assert parse_case(serialize_case(net)) == net
 
 
 def test_unknown_format():
@@ -337,6 +439,14 @@ def test_matpower_comments_and_inline_rows():
     (lambda t: t.replace("  2 0 0 3 0.02 14 600;\n];\n",
                          "  2 0 0 3 0.02 14 600;\n"), "not closed", None),
     (lambda t: t.replace("mpc.bus", "mpc.buses", 1), "unsupported matpower block", None),
+    (lambda t: t.replace("  1 3 0 ", "  inf 3 0 "), "not a finite number: 'inf'", 5),
+    (lambda t: t.replace("  1 3 0 ", "  nan 3 0 "), "not a finite number: 'nan'", 5),
+    (lambda t: t.replace("0.05", "1e400"), "not a finite number: '1e400'", 9),
+    (lambda t: t.replace("0.05", "-Infinity"), "not a finite number: '-Infinity'", 9),
+    (lambda t: t.replace("baseMVA = 100", "baseMVA = NaN"), "baseMVA must be a finite number", 3),
+    (lambda t: t.replace("baseMVA = 100", "baseMVA = 1e999"), "got '1e999'", 3),
+    (lambda t: t.replace("baseMVA = 100", "baseMVA = 1e-300").replace(" 250 ", " 1e10 "),
+     "branch row 1: limit in per unit must be a finite", None),
 ])
 def test_matpower_rejects(mutate, fragment, lineno):
     with pytest.raises(CaseFormatError, match=fragment) as info:

@@ -2,9 +2,10 @@
 
 Usage: gridctrl <subcommand> <case> [options]
 
-Exit codes: 0 success, 1 domain infeasibility, 2 input error.  Every failure
-prints a single line to stderr starting with "error: " (exit 2) or
-"infeasible: " (exit 1).  Outputs are deterministic byte-for-byte: CSV uses
+Exit codes: 0 success, 1 domain infeasibility, 2 input error, 3 internal
+failure (the LP solver gave up, or a bug).  Every failure prints a single
+line to stderr starting with "infeasible: " (exit 1), "error: " (exit 2) or
+"internal: " (exit 3).  Outputs are deterministic byte-for-byte: CSV uses
 12 significant digits, '.' decimals, ',' separators and LF endings; JSON
 uses Python's shortest-round-trip float form.
 """
@@ -40,7 +41,6 @@ from .place_cv import (
     run_cv_placement,
 )
 from .place_lp import DeltaStrategy, compare_placements, run_lp_placement
-from .simplex import SimplexNumericalError, SimplexStallError
 
 _STRATEGY_FLAGS = {"const": "constant", "limit": "fraction_of_limit",
                    "reactance": "scaled_reactance"}
@@ -645,8 +645,7 @@ def run(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except (CliError, CaseFormatError, SimplexStallError, SimplexNumericalError,
-            OSError) as exc:
+    except (CliError, CaseFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (DomainInfeasible, opf_mod.InfeasibleError) as exc:
@@ -657,6 +656,10 @@ def run(argv: list[str] | None = None) -> int:
         msg = exc.args[0] if exc.args else exc
         print(f"error: {msg}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # a solver failure or a bug, never an input error or infeasibility
+        print(f"internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 def main() -> None:

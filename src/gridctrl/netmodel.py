@@ -263,6 +263,15 @@ def _req(doc: dict, key: str, kind: type, where: str):
     return val
 
 
+def _flag(doc: dict, key: str, default: bool, where: str) -> bool:
+    """``doc[key]`` as a JSON true or false; ``default`` when the key is absent."""
+    val = doc.get(key, default)
+    if not isinstance(val, bool):
+        raise CaseFormatError(
+            f"{where}: key '{key}' must be true or false, got {type(val).__name__}")
+    return val
+
+
 # a JSON string, or one of the three constants json.loads accepts beyond the standard
 _JSON_STRING_OR_CONSTANT = re.compile(r'"(?:[^"\\]|\\.)*"|-?Infinity|NaN')
 
@@ -301,7 +310,7 @@ def _parse_native(text: str) -> Network:
         if key not in known:
             raise CaseFormatError(f"unknown top-level key '{key}'")
 
-    buses = [Bus(id=_req(b, "id", int, where), is_slack=bool(b.get("is_slack", False)))
+    buses = [Bus(id=_req(b, "id", int, where), is_slack=_flag(b, "is_slack", False, where))
              for where, b in _entries(doc, "buses")]
 
     lines = []
@@ -319,7 +328,7 @@ def _parse_native(text: str) -> Network:
             to_bus=_req(l, "to_bus", int, where),
             reactance=_req(l, "reactance", float, where),
             limit=limit,
-            in_service=bool(l.get("in_service", True)),
+            in_service=_flag(l, "in_service", True, where),
         ))
 
     gens = []
@@ -405,8 +414,9 @@ def _parse_matpower_tables(text: str) -> tuple[dict[str, list[list[float]]], flo
     base_mva: float | None = None
     current: str | None = None
 
-    def consume_rows(fragment: str, lineno: int) -> bool:
-        """Parse rows inside an open block; True when the block closed."""
+    def consume_rows(fragment: str, lineno: int, offset: int) -> bool:
+        """Parse rows inside an open block; True when the block closed.
+        ``fragment`` starts at 0-based column ``offset`` of its file line."""
         closed = False
         end = fragment.find("]")
         if end >= 0:
@@ -416,29 +426,32 @@ def _parse_matpower_tables(text: str) -> tuple[dict[str, list[list[float]]], flo
             closed = True
         else:
             body = fragment
+        start = offset  # file-line column of the current chunk
         for chunk in body.split(";"):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
             row = []
-            for tok in chunk.split():
+            for k, tok in enumerate(chunk.split()):
                 try:
                     val = float(tok)
                 except ValueError:
                     val = None
                 if val is None or not math.isfinite(val):
                     what = "not a number" if val is None else "not a finite number"
-                    raise CaseFormatError(f"{what}: '{tok}'", line=lineno, col=fragment.find(tok) + 1)
+                    at = [m.start() for m in re.finditer(r"\S+", chunk)][k]
+                    raise CaseFormatError(f"{what}: '{tok}'", line=lineno, col=start + at + 1)
                 row.append(val)
-            tables[current].append(row)
+            if row:
+                tables[current].append(row)
+            start += len(chunk) + 1
         return closed
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("%", 1)[0].strip()
+        code = raw.split("%", 1)[0]
+        line = code.strip()
         if not line:
             continue
+        offset = len(code) - len(code.lstrip())
         if current is not None:
-            if consume_rows(line, lineno):
+            if consume_rows(line, lineno, offset):
                 current = None
             continue
         if line.startswith("function"):
@@ -447,12 +460,13 @@ def _parse_matpower_tables(text: str) -> tuple[dict[str, list[list[float]]], flo
         if m:
             name = m.group(1)
             if name not in _MATPOWER_BLOCKS:
-                raise CaseFormatError(f"unsupported matpower block 'mpc.{name}'", line=lineno, col=1)
+                raise CaseFormatError(f"unsupported matpower block 'mpc.{name}'",
+                                      line=lineno, col=offset + 1)
             if name in tables:
-                raise CaseFormatError(f"duplicate block 'mpc.{name}'", line=lineno, col=1)
+                raise CaseFormatError(f"duplicate block 'mpc.{name}'", line=lineno, col=offset + 1)
             tables[name] = []
             current = name
-            if consume_rows(line[m.end():], lineno):
+            if consume_rows(line[m.end():], lineno, offset + m.end()):
                 current = None
             continue
         m = re.fullmatch(r"mpc\.(\w+)\s*=\s*([^;]+);?", line)
@@ -468,9 +482,10 @@ def _parse_matpower_tables(text: str) -> tuple[dict[str, list[list[float]]], flo
             elif name == "version":
                 pass
             else:
-                raise CaseFormatError(f"unsupported matpower assignment 'mpc.{name}'", line=lineno, col=1)
+                raise CaseFormatError(f"unsupported matpower assignment 'mpc.{name}'",
+                                      line=lineno, col=offset + 1)
             continue
-        raise CaseFormatError(f"unrecognized statement: '{line}'", line=lineno, col=1)
+        raise CaseFormatError(f"unrecognized statement: '{line}'", line=lineno, col=offset + 1)
 
     if current is not None:
         raise CaseFormatError(f"block 'mpc.{current}' not closed with ']'")
@@ -479,6 +494,14 @@ def _parse_matpower_tables(text: str) -> tuple[dict[str, list[list[float]]], flo
     if base_mva <= 0.0:
         raise CaseFormatError("mpc.baseMVA must be > 0")
     return tables, base_mva
+
+
+def _whole(val: float, table: str, i: int, name: str) -> int:
+    """Entry ``name`` of row ``i`` of a MATPOWER table, which must be
+    integral (a bus id, say), as an int."""
+    if not val.is_integer():
+        raise CaseFormatError(f"{table} row {i + 1}: {name} must be an integer, got {val!r}")
+    return int(val)
 
 
 def _parse_matpower(text: str) -> Network:
@@ -492,7 +515,8 @@ def _parse_matpower(text: str) -> Network:
     for i, row in enumerate(tables["bus"]):
         if len(row) < 13:
             raise CaseFormatError(f"bus row {i + 1}: expected >= 13 columns, got {len(row)}")
-        bus_id, bus_type, pd = int(row[0]), int(row[1]), row[2]
+        bus_id = _whole(row[0], "bus", i, "bus id")
+        bus_type, pd = _whole(row[1], "bus", i, "bus type"), row[2]
         if row[4] != 0.0 or row[5] != 0.0:
             raise CaseFormatError(f"bus row {i + 1}: shunt elements (GS/BS) are not supported")
         if bus_type not in (1, 2, 3):
@@ -513,8 +537,8 @@ def _parse_matpower(text: str) -> Network:
         rate_a = row[5]
         lines.append(Line(
             id=i + 1,
-            from_bus=int(row[0]),
-            to_bus=int(row[1]),
+            from_bus=_whole(row[0], "branch", i, "from bus"),
+            to_bus=_whole(row[1], "branch", i, "to bus"),
             reactance=row[3],
             limit=(UNLIMITED if rate_a == 0.0
                    else _finite(rate_a / base, f"branch row {i + 1}: limit in per unit")),
@@ -536,7 +560,8 @@ def _parse_matpower(text: str) -> Network:
             crow = cost_rows[i]
             if len(crow) < 4:
                 raise CaseFormatError(f"gencost row {i + 1}: expected >= 4 columns")
-            model, ncost = int(crow[0]), int(crow[3])
+            model = _whole(crow[0], "gencost", i, "model")
+            ncost = _whole(crow[3], "gencost", i, "NCOST")
             if model != 2:
                 raise CaseFormatError(
                     f"gencost row {i + 1}: only polynomial cost model 2 is supported, got {model}")
@@ -549,7 +574,8 @@ def _parse_matpower(text: str) -> Network:
             cost = (c0, c1 * base, c2 * base * base)
         if status == 0.0:
             continue
-        gens.append(Generator(bus=int(row[0]), p_min=row[9] / base, p_max=row[8] / base, cost=cost))
+        gens.append(Generator(bus=_whole(row[0], "gen", i, "bus"),
+                              p_min=row[9] / base, p_max=row[8] / base, cost=cost))
 
     return Network(buses=tuple(buses), lines=tuple(lines),
                    generators=tuple(gens), loads=tuple(loads), base_mva=base)

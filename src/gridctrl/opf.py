@@ -14,7 +14,8 @@ costs, exact for linear ones), HVDC setpoints, and one slack per flow bound:
 The reported cost is the optimized objective plus the constant cost of every
 generator sitting at p_min; for linear cost polynomials this equals the
 polynomial evaluated at the dispatch.  Cost of security is
-C_SCOPF - C_OPF >= 0 for the same controller set.
+C_SCOPF - C_OPF >= 0 for the same controller set; a difference within
+1e-9 * (1 + C_OPF) is roundoff between two LPs' optima and reads as 0.
 """
 
 from __future__ import annotations
@@ -217,10 +218,12 @@ def cost_of_security(net: Network, placements: list[tuple[int, int]] | None = No
     if sec.status != "optimal":
         raise InfeasibleError(f"sc-opf {mode}")
     cos_abs = sec.cost - opt.cost
+    if abs(cos_abs) <= 1e-9 * (1.0 + abs(opt.cost)):
+        cos_abs = 0.0
     if opt.cost > 0.0:
         cos_percent = 100.0 * cos_abs / opt.cost
     else:
-        cos_percent = 0.0 if abs(cos_abs) <= 1e-9 else math.inf
+        cos_percent = 0.0 if cos_abs == 0.0 else math.inf
     return CosReport(c_opf=opt.cost, c_scopf=sec.cost,
                      cos_abs=cos_abs, cos_percent=cos_percent)
 

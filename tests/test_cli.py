@@ -17,6 +17,7 @@ import pytest
 
 from gridctrl.cases import case_names, case_path
 from gridctrl.cli import _cell, run
+from gridctrl.simplex import SimplexStallError
 
 FIXTURE10 = str(case_path("fixture10"))
 CASE14 = str(case_path("case14"))
@@ -588,7 +589,11 @@ def _run_cli_subprocess(argv, threads):
 
 def test_threaded_runs_are_byte_identical():
     for argv in (["place-lp", FIXTURE10, "--count", "1", "--strategy", "limit"],
-                 ["place-cv", FIXTURE10, "--count", "2"]):
+                 ["place-cv", FIXTURE10, "--count", "2"],
+                 ["sc-opf", FIXTURE10, "--place", "1,8", "--output", "json"],
+                 ["sc-opf", FIXTURE10, "--mode", "corrective", "--place", "1,8",
+                  "--output", "json"],
+                 ["cos-curve", FIXTURE10, "--max", "3", "--output", "json"]):
         first = _run_cli_subprocess(argv, threads=2)
         second = _run_cli_subprocess(argv, threads=2)
         sequential = _run_cli_subprocess(argv, threads=1)
@@ -603,6 +608,21 @@ def test_input_error_writes_no_output(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err == "error: pair buses must be distinct\n"
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("exc", [SimplexStallError("no optimum after 9 iterations"),
+                                 ZeroDivisionError("float division by zero")])
+def test_solver_failure_or_bug_is_internal(capsys, tmp_path, monkeypatch, exc):
+    def broken(*_args, **_kwargs):
+        raise exc
+
+    monkeypatch.setattr("gridctrl.opf.solve_lp", broken)
+    target = tmp_path / "opf.csv"
+    code, out, err = cli(capsys, "opf", FIXTURE10, "--out", str(target))
+    assert code == 3
+    assert out == ""
+    assert err == f"internal: {type(exc).__name__}: {exc}\n"
     assert not target.exists()
 
 

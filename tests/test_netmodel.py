@@ -106,6 +106,14 @@ def test_native_short_cost_forms():
     (lambda d: d.update(base_mva=1e300, generators=[{"bus": 1, "p_min": 0.0, "p_max": 1.0,
                                                      "cost": [0, 0, 1.0]}]),
      "generator 0: a value overflows in per unit"),
+    (lambda d: d["buses"][1].update(is_slack="no"),
+     "buses[1]: key 'is_slack' must be true or false, got str"),
+    (lambda d: d["buses"][0].update(is_slack=1),
+     "buses[0]: key 'is_slack' must be true or false, got int"),
+    (lambda d: d["lines"][0].update(in_service="false"),
+     "lines[0]: key 'in_service' must be true or false, got str"),
+    (lambda d: d["lines"][0].update(in_service=None),
+     "lines[0]: key 'in_service' must be true or false, got NoneType"),
 ])
 def test_native_rejects(mutate, fragment):
     doc = json.loads(json.dumps(MINIMAL))
@@ -447,6 +455,25 @@ def test_matpower_comments_and_inline_rows():
     (lambda t: t.replace("baseMVA = 100", "baseMVA = 1e999"), "got '1e999'", 3),
     (lambda t: t.replace("baseMVA = 100", "baseMVA = 1e-300").replace(" 250 ", " 1e10 "),
      "branch row 1: limit in per unit must be a finite", None),
+    (lambda t: t.replace("  1 3 0 ", "  1.5 3 0 "), "bus row 1: bus id must be an integer, got 1.5",
+     None),
+    (lambda t: t.replace("  2 1 40.5", "  2 1.5 40.5"),
+     "bus row 2: bus type must be an integer, got 1.5", None),
+    (lambda t: t.replace("  1 2 0.01", "  1.5 2 0.01"),
+     "branch row 1: from bus must be an integer, got 1.5", None),
+    (lambda t: t.replace("  1 2 0.01", "  1 2.5 0.01"),
+     "branch row 1: to bus must be an integer, got 2.5", None),
+    (lambda t: t.replace("  1 0 0 999", "  1.25 0 0 999"),
+     "gen row 1: bus must be an integer, got 1.25", None),
+    (lambda t: t.replace("2 0 0 3 0.02 14 600", "2.5 0 0 3 0.02 14 600"),
+     "gencost row 1: model must be an integer, got 2.5", None),
+    (lambda t: t.replace("2 0 0 3 0.02 14 600", "2 0 0 2.5 0.02 14 600"),
+     "gencost row 1: NCOST must be an integer, got 2.5", None),
+    (lambda t: t.replace("  2 1 40.5", "  2 1 xx"), r"line 6, col 7: not a number: 'xx'", 6),
+    (lambda t: t.replace("  1 3 0    0 0 0", "\t1 3 5e+1 e+1 0 0"),
+     r"line 5, col 11: not a number: 'e\+1'", 5),
+    (lambda t: t.replace("mpc.bus = [\n", "  mpc.bus = [ 1 3 0 0 0 0 1 1 0 0 1 1 1 zz;\n"),
+     r"line 4, col 41: not a number: 'zz'", 4),
 ])
 def test_matpower_rejects(mutate, fragment, lineno):
     with pytest.raises(CaseFormatError, match=fragment) as info:

@@ -300,8 +300,9 @@ def test_cos_curve_reaches_zero_and_stays(fixture10):
     assert points[0].cos_percent == pytest.approx(46.3163100657, rel=1e-8)
     assert points[1].pair == (1, 8)
     assert points[1].cos_percent == pytest.approx(1.7499143982, rel=1e-6)
-    assert points[2].cos_percent == pytest.approx(0.0, abs=1e-6)
-    assert points[3].cos_percent == pytest.approx(0.0, abs=1e-6)
+    # the two optima differ only by roundoff here, which reads as exactly 0
+    assert points[2].cos_abs == points[2].cos_percent == 0.0
+    assert points[3].cos_abs == points[3].cos_percent == 0.0
 
 
 def test_cos_curve_is_monotone(fixture10):

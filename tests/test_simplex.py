@@ -4,8 +4,12 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
 
-from gridctrl.simplex import LpProblem, SimplexStallError, solve_lp
+from gridctrl import simplex
+from gridctrl.simplex import LpProblem, SimplexNumericalError, SimplexStallError, solve_lp
 
 INF = np.inf
 
@@ -168,3 +172,96 @@ def test_degenerate_ties_still_finish():
     res = solve_lp(lp(c, a, b, np.zeros(n), np.full(n, 4.0)))
     assert res.status == "optimal"
     assert res.objective == pytest.approx(-4.0)
+
+
+# ---------------------------------------------------------------------------
+# the certificate: the point and duals of the final tableau, on the original data
+
+
+def test_certificate_rejects_a_phase_two_that_stops_early(monkeypatch):
+    """Phase 1 ends at x = (4, 1); with costs (3, 1) that vertex is not optimal."""
+    run = simplex._Tableau.run
+    calls = []
+
+    def phase_two_stops(tab, cvec, max_iter):
+        calls.append(cvec)
+        return run(tab, cvec, max_iter) if len(calls) == 1 else "optimal"
+
+    monkeypatch.setattr(simplex._Tableau, "run", phase_two_stops)
+    with pytest.raises(SimplexNumericalError, match="dual feasibility violated at an upper bound"):
+        solve_lp(lp([3.0, 1.0], [[1.0, 1.0]], [5.0], [0.0, 0.0], [4.0, 6.0]))
+
+
+def test_certificate_checks_reduced_costs_of_basic_columns(monkeypatch):
+    """Duals read off a spoiled B^-1 leave the basic column a reduced cost."""
+    certify = simplex._certify
+
+    def spoiled(p, tab):
+        tab.t[:, tab.n:] *= 7.0 / 6.0
+        return certify(p, tab)
+
+    monkeypatch.setattr(simplex, "_certify", spoiled)
+    with pytest.raises(SimplexNumericalError, match="dual feasibility violated on a basic variable"):
+        solve_lp(lp([1.0, 3.0], [[1.0, 1.0]], [5.0], [0.0, 0.0], [4.0, 6.0]))
+
+
+# ---------------------------------------------------------------------------
+# differential test against HiGHS
+
+
+@st.composite
+def small_lps(draw):
+    """Integer LPs with 1-5 variables and 0-3 rows; every bound kind, and a
+    right-hand side that half the time comes from a vertex of the box, which
+    makes the program feasible and often degenerate."""
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(0, 3))
+
+    def ints(lo, hi, size):
+        return np.array(draw(st.lists(st.integers(lo, hi), min_size=size, max_size=size)),
+                        dtype=float)
+
+    a = ints(-3, 3, m * n).reshape(m, n)
+    c = ints(-3, 3, n)
+    lower = ints(-4, 2, n)
+    upper = lower + ints(0, 4, n)
+    kinds = draw(st.lists(st.sampled_from(["box", "lower", "upper", "free"]),
+                          min_size=n, max_size=n))
+    lower[[k in ("upper", "free") for k in kinds]] = -INF
+    upper[[k in ("lower", "free") for k in kinds]] = INF
+    if draw(st.booleans()):
+        corner = np.where(ints(0, 1, n) > 0, upper, lower)
+        b = a @ np.where(np.isfinite(corner), corner, ints(-2, 2, n))
+    else:
+        b = ints(-5, 5, m)
+    return lp(c, a, b, lower, upper)
+
+
+def highs(p: LpProblem):
+    """(status, objective) from HiGHS; a model HiGHS can only call
+    "infeasible or unbounded" is told apart by a zero-cost solve."""
+    bounds = [(None if np.isinf(lo) else lo, None if np.isinf(hi) else hi)
+              for lo, hi in zip(p.lower, p.upper)]
+    rows = {"A_eq": p.a_eq, "b_eq": p.b_eq} if p.b_eq.size else {}
+    res = linprog(p.c, bounds=bounds, method="highs", **rows)
+    if res.status == 4:
+        feasible = linprog(np.zeros_like(p.c), bounds=bounds, method="highs", **rows)
+        return ("unbounded" if feasible.status == 0 else "infeasible"), None
+    return {0: "optimal", 2: "infeasible", 3: "unbounded"}[res.status], res.fun
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=small_lps())
+@example(p=lp([-1.0, -1.0, 0.0], [[1.0, 1.0, 1.0], [1.0, 1.0, 0.0]], [2.0, 2.0],
+              [0.0, 0.0, 0.0], [2.0, 2.0, 2.0]))                       # degenerate
+@example(p=lp([1.0, 0.0], [[1.0, -1.0]], [3.0], [-INF, 0.0], [INF, 5.0]))    # free
+@example(p=lp([1.0], [[1.0]], [-1.0], [0.0], [INF]))                   # infeasible
+@example(p=lp([-1.0, 0.0], [[1.0, -1.0]], [0.0], [0.0, 0.0], [INF, INF]))  # unbounded
+def test_agrees_with_highs(p):
+    res = solve_lp(p)
+    status, objective = highs(p)
+    assert res.status == status
+    if status == "optimal":
+        assert abs(res.objective - objective) <= 1e-7 * (1.0 + abs(objective))
+        np.testing.assert_allclose(p.a_eq @ res.x, p.b_eq, atol=1e-7)
+        assert (res.x >= p.lower - 1e-7).all() and (res.x <= p.upper + 1e-7).all()

@@ -113,6 +113,21 @@ def _write_json(path: str | None, obj, indent=2, separators=None) -> None:
         fh.write("\n")
 
 
+def _write_json_matrix(path: str | None, head: dict, values: np.ndarray) -> None:
+    """``_write_json(path, {**head, "values": values})``, NaN as null, written
+    one row at a time so that the matrix is never held as Python lists."""
+    text = json.dumps({**head, "values": []}, indent=2)
+    with _sink(path) as fh:
+        fh.write(text[:-len("[]\n}")])
+        for i, row in enumerate(values):
+            cells = row.tolist()
+            if np.isnan(row).any():
+                cells = [None if math.isnan(x) else x for x in cells]
+            fh.write(("," if i else "[") + "\n    "
+                     + json.dumps(cells, indent=2).replace("\n", "\n    "))
+        fh.write("\n  ]\n}\n" if len(values) else "[]\n}\n")
+
+
 def _parse_pair(text: str) -> tuple[int, int]:
     parts = text.split(",")
     if len(parts) != 2:
@@ -208,12 +223,11 @@ def _cmd_ptdf(args) -> int:
     net = _load(args)
     mat = ptdf(net)
     if args.output == "json":
-        _write_json(args.out, {
+        _write_json_matrix(args.out, {
             "slack_bus": net.slack_id,
             "bus_ids": list(mat.bus_ids),
             "line_ids": list(mat.line_ids),
-            "values": mat.values.tolist(),
-        })
+        }, mat.values)
         return 0
     _write_csv(args.out, _matrix_rows((f"bus_{b}" for b in mat.bus_ids),
                                       mat.line_ids, mat.values))
@@ -234,11 +248,10 @@ def _cmd_cv(args) -> int:
     pairs = node_pairs(mat.bus_ids) if args.all else [args.pair]
     vectors = cv_matrix(mat, pairs)
     if args.output == "json":
-        _write_json(args.out, {
+        _write_json_matrix(args.out, {
             "line_ids": list(mat.line_ids),
             "pairs": [list(p) for p in pairs],
-            "values": vectors.tolist(),
-        })
+        }, vectors)
         return 0
     _write_csv(args.out, _matrix_rows((f"cv_{m}_{n}" for m, n in pairs),
                                       mat.line_ids, vectors.T))
@@ -249,13 +262,10 @@ def _cmd_lodf(args) -> int:
     net = _load(args)
     dist = lodf(net)
     if args.output == "json":
-        values = [[None if math.isnan(x) else x for x in row]
-                  for row in dist.values.tolist()]
-        _write_json(args.out, {
+        _write_json_matrix(args.out, {
             "line_ids": list(dist.line_ids),
             "islanded": list(dist.islanded),
-            "values": values,
-        })
+        }, dist.values)
         return 0
     _write_csv(args.out, _matrix_rows((f"out_{lid}" for lid in dist.line_ids),
                                       dist.line_ids, dist.values))
@@ -651,6 +661,10 @@ def run(argv: list[str] | None = None) -> int:
     except (DomainInfeasible, opf_mod.InfeasibleError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 1
+    except np.linalg.LinAlgError as exc:
+        # a ValueError, but a numerical failure rather than bad input
+        print(f"internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     except (ValueError, KeyError) as exc:
         # args[0] rather than str(exc), which quotes a KeyError's message
         msg = exc.args[0] if exc.args else exc

@@ -5,7 +5,8 @@ reachable flow changes.  Its size is scored by the volume of the simplex on
 the diagonal points diag(|v|), kept in log space: log_volume is the sum of
 log(max(|v_i|, eps)) and dimension counts the components above eps.  The
 constant -log(n_L!) is the same for every candidate and is omitted.  Scores
-compare lexicographically by (dimension, log_volume).
+compare lexicographically by (dimension, log_volume).  Every ranking by
+score here puts the largest first and breaks ties by node pair.
 
 Follow-up placements score the joint reach of the already-selected vectors
 plus one candidate: all nonzero {-1, 0, +1} combinations are formed (after
@@ -18,14 +19,13 @@ vector is to the span of the selected ones (cos-phi of the projection).
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dcsens import PtdfMatrix, cv_matrix, node_pairs
+from .dcsens import _CV_CHUNK, PtdfMatrix, cv_matrix, node_pairs
 
 VOLUME_EPS = 1e-9
 COS_THRESHOLD = 0.2
@@ -33,35 +33,47 @@ CANDIDATE_CAP = 10
 _SPAN_COS = 1.0 - 1e-9      # candidates at/above this lie in the basis span
 
 
-@functools.total_ordering
 @dataclass(frozen=True)
 class VolumeScore:
     log_volume: float
     dimension: int
 
-    def __lt__(self, other: "VolumeScore") -> bool:
-        return (self.dimension, self.log_volume) < (other.dimension, other.log_volume)
+
+def row_scores(vectors: np.ndarray, eps: float = VOLUME_EPS
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """||v||_1, dimension and log_volume of every row v of ``vectors``; see
+    module docstring.  Rows go in blocks, which bounds the temporaries."""
+    vectors = np.asarray(vectors, dtype=float)
+    if vectors.ndim != 2 or (len(vectors) and vectors.shape[1] == 0):
+        raise ValueError("need a 2-D array of nonempty rows")
+    n = len(vectors)
+    norm1, log_volume = np.empty(n), np.empty(n)
+    dimension = np.empty(n, dtype=np.intp)
+    for s in range(0, n, _CV_CHUNK):
+        block = slice(s, s + _CV_CHUNK)
+        mags = np.abs(vectors[block])
+        norm1[block] = mags.sum(axis=1)
+        dimension[block] = (mags > eps).sum(axis=1)
+        log_volume[block] = np.log(np.maximum(mags, eps, out=mags), out=mags).sum(axis=1)
+    return norm1, dimension, log_volume
 
 
-def conical_log_volume(v: np.ndarray, eps: float = VOLUME_EPS) -> VolumeScore:
-    """Log-space simplex volume of diag(|v|); see module docstring."""
-    mags = np.abs(np.asarray(v, dtype=float))
-    if mags.ndim != 1 or mags.size == 0:
-        raise ValueError("need a nonempty 1-D vector")
-    dimension = int(np.sum(mags > eps))
-    log_volume = float(np.sum(np.log(np.maximum(mags, eps))))
-    return VolumeScore(log_volume=log_volume, dimension=dimension)
+def _best_first(*keys) -> np.ndarray:
+    """Indices by ``keys`` descending, the last key primary; ties by index."""
+    return np.lexsort([-np.asarray(k) for k in keys])
 
 
-def first_placement(mat: PtdfMatrix) -> list[tuple[tuple[int, int], VolumeScore]]:
-    """All node pairs ranked by conical volume, best first; ties by pair."""
-    pairs = node_pairs(mat.bus_ids)
-    if not pairs:
-        raise ValueError("case has no node pair to place")
-    scored = [(pair, conical_log_volume(vec))
-              for pair, vec in zip(pairs, cv_matrix(mat, pairs))]
-    scored.sort(key=lambda item: (-item[1].dimension, -item[1].log_volume, item[0]))
-    return scored
+def _average_ranks(*keys) -> np.ndarray:
+    """Ranks 1..n by ``keys`` as in ``_best_first``; ties share the average."""
+    order = _best_first(*keys)
+    ordered = [np.asarray(k)[order] for k in keys]
+    starts = np.ones(len(order), dtype=bool)
+    starts[1:] = np.logical_or.reduce([k[1:] != k[:-1] for k in ordered])
+    first = np.flatnonzero(starts)
+    last = np.append(first[1:], len(order)) - 1
+    ranks = np.empty(len(order))
+    ranks[order] = ((first + last) / 2 + 1)[np.cumsum(starts) - 1]
+    return ranks
 
 
 def orthogonality(basis: np.ndarray, vectors: np.ndarray) -> list[float]:
@@ -136,25 +148,6 @@ def orthant_volume_sum(selected: list[np.ndarray], candidate: np.ndarray,
 
 
 @dataclass(frozen=True)
-class PlacementState:
-    selected: tuple[tuple[int, int], ...]
-    basis: np.ndarray                   # (n_L, k) CV columns of selected pairs
-    cos_threshold: float = COS_THRESHOLD
-    candidate_cap: int = CANDIDATE_CAP
-
-
-def initial_state(mat: PtdfMatrix, pair: tuple[int, int] | None = None,
-                  cos_threshold: float = COS_THRESHOLD,
-                  candidate_cap: int = CANDIDATE_CAP) -> PlacementState:
-    """State after the first placement (default: the volume-ranked winner)."""
-    if pair is None:
-        pair = first_placement(mat)[0][0]
-    return PlacementState(selected=(tuple(pair),),
-                          basis=cv_matrix(mat, [pair]).T,
-                          cos_threshold=cos_threshold, candidate_cap=candidate_cap)
-
-
-@dataclass(frozen=True)
 class CandidateRow:
     pair: tuple[int, int]
     cos_phi: float | None
@@ -162,67 +155,54 @@ class CandidateRow:
     selected: bool
 
 
-def place_next(state: PlacementState, mat: PtdfMatrix
-               ) -> tuple[tuple[int, int], PlacementState, list[CandidateRow]]:
-    """One greedy step: filter by cos-phi, score survivors, take the max."""
-    taken = set(state.selected)
-    pairs = node_pairs(mat.bus_ids)
-    if taken.issuperset(pairs):
-        raise ValueError("all node pairs are already placed")
-    vectors = cv_matrix(mat, pairs)
-    cos = orthogonality(state.basis, vectors)
-    scored_cos = [(pair, j, cos[j]) for j, pair in enumerate(pairs) if pair not in taken]
-    qualifying = [item for item in scored_cos if item[2] <= state.cos_threshold]
-    if not qualifying:
-        # fall back to the most orthogonal pairs; span members stay excluded
-        qualifying = [item for item in scored_cos if item[2] < _SPAN_COS]
-        if not qualifying:
-            raise ValueError("every remaining pair lies in the span of the basis")
-    qualifying.sort(key=lambda item: (item[2], item[0]))
-    qualifying = qualifying[:state.candidate_cap]
-
-    selected_vecs = [state.basis[:, k] for k in range(state.basis.shape[1])]
-    scores = [orthant_volume_sum(selected_vecs, vectors[item[1]]) for item in qualifying]
-    best = max(range(len(qualifying)),
-               key=lambda i: (scores[i], tuple(-c for c in qualifying[i][0])))
-    pair, row, _ = qualifying[best]
-
-    rows = [CandidateRow(pair=item[0], cos_phi=item[2], score=scores[i],
-                         selected=(i == best))
-            for i, item in enumerate(qualifying)]
-    new_state = PlacementState(
-        selected=state.selected + (tuple(pair),),
-        basis=np.column_stack([state.basis, vectors[row]]),
-        cos_threshold=state.cos_threshold, candidate_cap=state.candidate_cap)
-    return tuple(pair), new_state, rows
-
-
 def run_cv_placement(mat: PtdfMatrix, count: int,
                      cos_threshold: float = COS_THRESHOLD,
                      candidate_cap: int = CANDIDATE_CAP
                      ) -> tuple[list[tuple[int, int]], list[list[CandidateRow]]]:
-    """Place ``count`` controllers; returns placements and per-step tables."""
+    """Place ``count`` controllers; returns placements and per-step tables.
+
+    Step 1 ranks every pair by its own volume.  Each later step keeps the
+    free pairs with cos-phi <= ``cos_threshold`` (or, when none does, those
+    outside the span), takes the ``candidate_cap`` most orthogonal, and
+    places the one with the largest joint orthant volume.
+    """
     if count < 1:
         raise ValueError("count must be >= 1")
-    ranked = first_placement(mat)
-    tables = [[CandidateRow(pair=p, cos_phi=None, score=s, selected=(i == 0))
-               for i, (p, s) in enumerate(ranked)]]
-    state = initial_state(mat, ranked[0][0], cos_threshold, candidate_cap)
-    placements = [ranked[0][0]]
-    for _ in range(count - 1):
-        pair, state, rows = place_next(state, mat)
-        placements.append(pair)
-        tables.append(rows)
-    return placements, tables
-
-
-def rank_by_norm1(mat: PtdfMatrix) -> list[tuple[tuple[int, int], float]]:
-    """All pairs ranked by ||CV||_1 descending; ties by pair."""
+    if candidate_cap < 1:
+        raise ValueError("candidate_cap must be >= 1")
     pairs = node_pairs(mat.bus_ids)
-    scored = [(pair, float(np.abs(vec).sum()))
-              for pair, vec in zip(pairs, cv_matrix(mat, pairs))]
-    scored.sort(key=lambda item: (-item[1], item[0]))
-    return scored
+    if not pairs:
+        raise ValueError("case has no node pair to place")
+    vectors = cv_matrix(mat, pairs)
+    _, dimension, log_volume = row_scores(vectors)
+    ranked = _best_first(log_volume, dimension).tolist()
+    dims, logs = dimension.tolist(), log_volume.tolist()
+    tables = [[CandidateRow(pair=pairs[i], cos_phi=None,
+                            score=VolumeScore(logs[i], dims[i]), selected=(k == 0))
+               for k, i in enumerate(ranked)]]
+    chosen = ranked[:1]
+    for _ in range(count - 1):
+        free = np.ones(len(pairs), dtype=bool)
+        free[chosen] = False
+        if not free.any():
+            raise ValueError("all node pairs are already placed")
+        cos = np.array(orthogonality(vectors[chosen].T, vectors))
+        cand = np.flatnonzero(free & (cos <= cos_threshold))
+        if not cand.size:
+            # fall back to the most orthogonal pairs; span members stay excluded
+            cand = np.flatnonzero(free & (cos < _SPAN_COS))
+            if not cand.size:
+                raise ValueError("every remaining pair lies in the span of the basis")
+        cand = cand[np.argsort(cos[cand], kind="stable")][:candidate_cap]
+        basis = [vectors[i] for i in chosen]
+        scores = [orthant_volume_sum(basis, vectors[i]) for i in cand]
+        best = int(cand[_best_first([s.log_volume for s in scores],
+                                    [s.dimension for s in scores])[0]])
+        tables.append([CandidateRow(pair=pairs[i], cos_phi=float(cos[i]), score=s,
+                                    selected=(i == best))
+                       for i, s in zip(cand.tolist(), scores)])
+        chosen.append(best)
+    return [pairs[i] for i in chosen], tables
 
 
 @dataclass(frozen=True)
@@ -234,37 +214,20 @@ class MetricRow:
     rank_volume: int
 
 
-def _average_ranks(values: list) -> list[float]:
-    """Ranks 1..n over comparable values; ties share the average rank.
-
-    Rank 1 goes to the greatest value.
-    """
-    order = sorted(range(len(values)), key=lambda i: values[i], reverse=True)
-    ranks = [0.0] * len(values)
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        avg = (i + j) / 2 + 1
-        for k in range(i, j + 1):
-            ranks[order[k]] = avg
-        i = j + 1
-    return ranks
-
-
-def spearman(a: list, b: list) -> float:
-    """Rank correlation between two comparable samples, average-rank ties."""
-    if len(a) != len(b) or len(a) < 2:
-        raise ValueError("need two equally sized samples of length >= 2")
-    xa = np.array(_average_ranks(a))
-    xb = np.array(_average_ranks(b))
-    xa -= xa.mean()
-    xb -= xb.mean()
+def _rank_correlation(xa: np.ndarray, xb: np.ndarray) -> float:
+    xa = xa - xa.mean()
+    xb = xb - xb.mean()
     denom = math.sqrt(float(xa @ xa) * float(xb @ xb))
     if denom == 0.0:
         raise ValueError("constant ranks have no correlation")
     return float(xa @ xb) / denom
+
+
+def spearman(a, b) -> float:
+    """Rank correlation between two numeric samples, average-rank ties."""
+    if len(a) != len(b) or len(a) < 2:
+        raise ValueError("need two equally sized samples of length >= 2")
+    return _rank_correlation(_average_ranks(a), _average_ranks(b))
 
 
 def metric_report(mat: PtdfMatrix) -> tuple[list[MetricRow], float | None]:
@@ -274,14 +237,15 @@ def metric_report(mat: PtdfMatrix) -> tuple[list[MetricRow], float | None]:
     ties, or there are fewer than two pairs): it is undefined there.
     """
     pairs = node_pairs(mat.bus_ids)
-    vectors = cv_matrix(mat, pairs)
-    norms = [float(np.abs(vec).sum()) for vec in vectors]
-    scores = [conical_log_volume(vec) for vec in vectors]
-    rank_n = _average_ranks(norms)
-    rank_v = _average_ranks(scores)
-    rows = [MetricRow(pair=pairs[i], norm1=norms[i], score=scores[i],
-                      rank_norm1=int(round(rank_n[i])), rank_volume=int(round(rank_v[i])))
-            for i in range(len(pairs))]
-    if len(set(rank_n)) < 2 or len(set(rank_v)) < 2:
+    norm1, dimension, log_volume = row_scores(cv_matrix(mat, pairs))
+    rank_n = _average_ranks(norm1)
+    rank_v = _average_ranks(log_volume, dimension)
+    rows = [MetricRow(pair=p, norm1=n1, score=VolumeScore(lv, dim),
+                      rank_norm1=rn, rank_volume=rv)
+            for p, n1, lv, dim, rn, rv in zip(
+                pairs, norm1.tolist(), log_volume.tolist(), dimension.tolist(),
+                np.rint(rank_n).astype(int).tolist(),
+                np.rint(rank_v).astype(int).tolist())]
+    if len(np.unique(rank_n)) < 2 or len(np.unique(rank_v)) < 2:
         return rows, None
-    return rows, spearman(norms, scores)
+    return rows, _rank_correlation(rank_n, rank_v)

@@ -22,7 +22,7 @@ from gridctrl.bounds import bounds, matrix_rank
 from gridctrl.cases import case_path, load_case
 from gridctrl.dcsens import InjectionProfile, cv, ptdf, tcsc_sensitivity
 from gridctrl.opf import cos_curve, dc_opf, sc_opf
-from gridctrl.place_cv import conical_log_volume, metric_report, run_cv_placement
+from gridctrl.place_cv import metric_report, row_scores, run_cv_placement
 from gridctrl.place_lp import DeltaStrategy, place_lp_next, run_lp_placement
 
 ALL_CASES = ("triangle3", "congested3", "fixture10", "case14")
@@ -163,7 +163,7 @@ def test_c09_volume_oracle_and_first_pick(triangle3, congested3):
     for net in (triangle3, congested3):
         mat = ptdf(net)
         pairs = _pairs(mat.bus_ids)
-        ours = [conical_log_volume(cv(mat, *p).values).log_volume for p in pairs]
+        ours = row_scores([cv(mat, *p).values for p in pairs])[2].tolist()
         oracle = [hull_log_volume(cv(mat, *p).values) for p in pairs]
         for a, b in zip(ours, oracle):
             assert abs(a - b) <= 1e-9
@@ -179,8 +179,8 @@ def test_c09_volume_oracle_and_first_pick(triangle3, congested3):
         mat = ptdf(net)
         scored = []
         for pair in _pairs(mat.bus_ids):
-            s = conical_log_volume(cv(mat, *pair).values)
-            scored.append(((-s.dimension, -s.log_volume, pair), pair))
+            _, (dimension,), (log_volume,) = row_scores([cv(mat, *pair).values])
+            scored.append(((-dimension, -log_volume, pair), pair))
         exhaustive = min(scored)[1]
         placements, _tables = run_cv_placement(mat, 1)
         assert placements[0] == exhaustive, name

@@ -612,7 +612,8 @@ def test_input_error_writes_no_output(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("exc", [SimplexStallError("no optimum after 9 iterations"),
-                                 ZeroDivisionError("float division by zero")])
+                                 ZeroDivisionError("float division by zero"),
+                                 np.linalg.LinAlgError("Singular matrix")])
 def test_solver_failure_or_bug_is_internal(capsys, tmp_path, monkeypatch, exc):
     def broken(*_args, **_kwargs):
         raise exc
@@ -624,6 +625,18 @@ def test_solver_failure_or_bug_is_internal(capsys, tmp_path, monkeypatch, exc):
     assert out == ""
     assert err == f"internal: {type(exc).__name__}: {exc}\n"
     assert not target.exists()
+
+
+def test_singular_reduced_matrix_is_an_input_error(capsys, monkeypatch):
+    """dcsens turns its own LinAlgError into DisconnectedNetworkError, which
+    stays an input error although LinAlgError itself is internal."""
+    def singular(_a):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr("gridctrl.dcsens.np.linalg.inv", singular)
+    code, out, err = cli(capsys, "ptdf", FIXTURE10)
+    assert (code, out) == (2, "")
+    assert err == "error: reduced susceptance matrix is singular\n"
 
 
 @pytest.mark.parametrize("x", [
@@ -641,9 +654,9 @@ def test_cell_blank_pair_and_text():
 
 
 # ---------------------------------------------------------------------------
-# golden CSV bytes of every subcommand on the bundled cases
+# golden CSV and JSON bytes of every subcommand on the bundled cases
 
-# Each "### ARGV" header is followed by the CSV the CLI printed for ARGV, with
+# Each "### ARGV" header is followed by the bytes the CLI printed for ARGV, with
 # bundled case names standing for their files.  A diff here is a change in
 # the CLI's output bytes.
 GOLDEN = Path(__file__).with_name("cli_golden.txt")

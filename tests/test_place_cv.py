@@ -7,22 +7,18 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
-from scipy.stats import spearmanr
+from scipy.stats import rankdata, spearmanr
 
-from gridctrl.dcsens import cv, cv_matrix, node_pairs, ptdf
+from gridctrl import place_cv
+from gridctrl.dcsens import PtdfMatrix, cv, cv_matrix, node_pairs, ptdf
 from gridctrl.netmodel import Bus, Line, Network
 from gridctrl.place_cv import (
     VOLUME_EPS,
     CandidateRow,
-    VolumeScore,
-    conical_log_volume,
-    first_placement,
-    initial_state,
     metric_report,
     orthant_volume_sum,
     orthogonality,
-    place_next,
-    rank_by_norm1,
+    row_scores,
     run_cv_placement,
     spearman,
 )
@@ -36,50 +32,78 @@ def hull_log_volume(v: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# single-vector score
+# per-row score
+
+
+def _oracle_score(v) -> tuple[int, float]:
+    """(dimension, log_volume) of one vector, component by component."""
+    mags = [abs(float(x)) for x in v]
+    return (sum(m > VOLUME_EPS for m in mags),
+            math.fsum(math.log(max(m, VOLUME_EPS)) for m in mags))
 
 
 def test_volume_matches_hull_oracle():
     rng = np.random.default_rng(7)
     for n in (2, 3, 4, 5):
-        for _ in range(5):
-            v = rng.uniform(0.2, 3.0, size=n) * rng.choice([-1.0, 1.0], size=n)
-            score = conical_log_volume(v)
-            assert score.dimension == n
-            assert score.log_volume == pytest.approx(hull_log_volume(v), abs=1e-9)
+        vs = rng.uniform(0.2, 3.0, size=(5, n)) * rng.choice([-1.0, 1.0], size=(5, n))
+        _, dimension, log_volume = row_scores(vs)
+        for v, dim, lv in zip(vs, dimension, log_volume):
+            assert dim == n
+            assert lv == pytest.approx(hull_log_volume(v), abs=1e-9)
 
 
 def test_volume_all_ones():
-    score = conical_log_volume(np.ones(6))
-    assert score == VolumeScore(log_volume=0.0, dimension=6)
+    norm1, dimension, log_volume = row_scores(np.ones((1, 6)))
+    assert (norm1.tolist(), dimension.tolist(), log_volume.tolist()) == ([6.0], [6], [0.0])
 
 
 def test_volume_zero_entry_drops_dimension():
-    v = np.array([2.0, 0.0, 1.0])
-    score = conical_log_volume(v)
-    assert score.dimension == 2
-    assert score.log_volume == pytest.approx(math.log(2.0) + math.log(VOLUME_EPS))
+    _, dimension, log_volume = row_scores(np.array([[2.0, 0.0, 1.0]]))
+    assert dimension[0] == 2
+    assert log_volume[0] == pytest.approx(math.log(2.0) + math.log(VOLUME_EPS))
 
 
 def test_volume_sign_invariant():
     v = np.array([0.5, -1.5, 2.5])
-    assert conical_log_volume(v) == conical_log_volume(-v)
-    assert conical_log_volume(v) == conical_log_volume(np.abs(v))
+    for column in row_scores(np.array([v, -v, np.abs(v)])):
+        assert column[0] == column[1] == column[2]
 
 
 def test_volume_rejects_bad_input():
     with pytest.raises(ValueError):
-        conical_log_volume(np.zeros((2, 2)))
+        row_scores(np.ones(3))
     with pytest.raises(ValueError):
-        conical_log_volume(np.array([]))
+        row_scores(np.zeros((2, 0)))
+    assert [c.shape for c in row_scores(np.zeros((0, 0)))] == [(0,)] * 3
+
+
+def test_row_scores_do_not_depend_on_the_row_blocks():
+    """Rows scored in blocks equal rows scored one at a time, bit for bit."""
+    vs = np.random.default_rng(3).normal(size=(600, 7))
+    vs[::5, 2] = 0.0
+    whole = row_scores(vs)
+    for i in (0, 255, 256, 257, 599):
+        single = row_scores(vs[i:i + 1])
+        assert [c[i] for c in whole] == [c[0] for c in single]
+        dim, lv = _oracle_score(vs[i])
+        assert whole[1][i] == dim
+        assert whole[2][i] == pytest.approx(lv, abs=1e-12)
 
 
 def test_score_orders_dimension_first():
-    big_vol = VolumeScore(log_volume=10.0, dimension=2)
-    small_vol = VolumeScore(log_volume=-10.0, dimension=3)
-    assert small_vol > big_vol
-    assert sorted([big_vol, small_vol])[-1] is small_vol
-    assert VolumeScore(1.0, 3) > VolumeScore(0.5, 3)
+    """Step 1 ranks by dimension before volume: the full-dimension pair
+    (1, 3) wins although both other pairs have a larger log volume."""
+    cvs = np.array([[1e-3, 1e-3, 1e-2],        # CV(1, 3)
+                    [1e-3, 1e12, 0.0]])         # CV(1, 2)
+    values = np.column_stack([np.zeros(3), -cvs[1], -cvs[0]])
+    mat = PtdfMatrix(values=values, slack_index=0, bus_ids=(1, 2, 3),
+                     line_ids=(1, 2, 3))
+    placements, tables = run_cv_placement(mat, 1)
+    assert placements == [(1, 3)]
+    ranked = tables[0]
+    assert [r.pair for r in ranked] == [(1, 3), (2, 3), (1, 2)]
+    assert [r.score.dimension for r in ranked] == [3, 2, 2]
+    assert ranked[0].score.log_volume < min(r.score.log_volume for r in ranked[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -89,27 +113,32 @@ def test_score_orders_dimension_first():
 def test_first_placement_is_exhaustive_argmax(fixture10, case14):
     for net in (fixture10, case14):
         mat = ptdf(net)
-        ranked = first_placement(mat)
+        placements, tables = run_cv_placement(mat, 1)
+        ranked = tables[0]
         ids = sorted(mat.bus_ids)
         pairs = [(m, n) for i, m in enumerate(ids) for n in ids[i + 1:]]
-        assert len(ranked) == len(pairs)
-        rescored = {p: conical_log_volume(cv(mat, *p).values) for p in pairs}
-        best = max(pairs, key=lambda p: (rescored[p].dimension,
-                                         rescored[p].log_volume,
-                                         tuple(-c for c in p)))
-        assert ranked[0][0] == best
-        keys = [(-s.dimension, -s.log_volume, p) for p, s in ranked]
+        assert sorted(r.pair for r in ranked) == pairs
+        rescored = {p: _oracle_score(cv(mat, *p).values) for p in pairs}
+        for r in ranked:
+            assert r.cos_phi is None
+            assert r.score.dimension == rescored[r.pair][0]
+            assert r.score.log_volume == pytest.approx(rescored[r.pair][1], abs=1e-12)
+        best = max(pairs, key=lambda p: (*rescored[p], tuple(-c for c in p)))
+        assert placements == [ranked[0].pair] == [best]
+        assert [r.selected for r in ranked] == [True] + [False] * (len(pairs) - 1)
+        keys = [(-r.score.dimension, -r.score.log_volume, r.pair) for r in ranked]
         assert keys == sorted(keys)
 
 
 def test_first_placement_single_pair():
     net = Network(buses=(Bus(1, True), Bus(2)), lines=(Line(1, 1, 2, 0.25),))
-    ranked = first_placement(ptdf(net))
-    assert [p for p, _ in ranked] == [(1, 2)]
+    placements, tables = run_cv_placement(ptdf(net), 1)
+    assert placements == [(1, 2)]
+    assert [r.pair for r in tables[0]] == [(1, 2)]
 
 
 def test_fixture10_first_pick(fixture10):
-    assert first_placement(ptdf(fixture10))[0][0] == (1, 8)
+    assert run_cv_placement(ptdf(fixture10), 1)[0] == [(1, 8)]
 
 
 # ---------------------------------------------------------------------------
@@ -208,10 +237,10 @@ def test_orthant_negated_candidate_same_score(fixture10):
 def test_orthant_never_below_single_direction(fixture10):
     mat = ptdf(fixture10)
     v = cv(mat, 1, 8).values
-    single = conical_log_volume(v)
+    _, (dim,), (lv,) = row_scores(v[None, :])
     for pair in [(2, 3), (5, 6), (4, 10), (7, 9)]:
         joint = orthant_volume_sum([v], cv(mat, *pair).values)
-        assert joint >= single
+        assert (joint.dimension, joint.log_volume) >= (dim, lv)
 
 
 def test_orthant_all_cancelling_rejected():
@@ -226,32 +255,46 @@ def test_orthant_all_cancelling_rejected():
 
 def test_place_next_is_filtered_argmax(fixture10):
     mat = ptdf(fixture10)
-    state = initial_state(mat)
-    pair, _state2, rows = place_next(state, mat)
+    placements, tables = run_cv_placement(mat, 2)
+    first = placements[0]
 
     ids = sorted(mat.bus_ids)
-    pairs = [(m, n) for i, m in enumerate(ids) for n in ids[i + 1:]
-             if (m, n) not in set(state.selected)]
-    cos = dict(zip(pairs, orthogonality(state.basis,
-                                        [cv(mat, *p).values for p in pairs])))
+    pairs = [(m, n) for i, m in enumerate(ids) for n in ids[i + 1:] if (m, n) != first]
+    basis = cv(mat, *first).values[:, None]
+    cos = dict(zip(pairs, orthogonality(basis, [cv(mat, *p).values for p in pairs])))
     qualifying = sorted((p for p in pairs if cos[p] <= 0.2),
                         key=lambda p: (cos[p], p))[:10]
-    assert {r.pair for r in rows} == set(qualifying)
-    scores = {p: orthant_volume_sum([state.basis[:, 0]], cv(mat, *p).values)
+    rows = tables[1]
+    assert [r.pair for r in rows] == qualifying
+    assert [r.cos_phi for r in rows] == [cos[p] for p in qualifying]
+    scores = {p: orthant_volume_sum([basis[:, 0]], cv(mat, *p).values)
               for p in qualifying}
-    best = max(qualifying, key=lambda p: (scores[p], tuple(-c for c in p)))
-    assert pair == best
+    assert [r.score for r in rows] == [scores[p] for p in qualifying]
+    best = max(qualifying, key=lambda p: (scores[p].dimension, scores[p].log_volume,
+                                          tuple(-c for c in p)))
+    assert placements[1] == best
+    assert [r.pair for r in rows if r.selected] == [best]
 
 
 def test_place_next_excludes_selected(fixture10):
+    placements, tables = run_cv_placement(ptdf(fixture10), 7)
+    assert len(set(placements)) == 7
+    for step, rows in enumerate(tables[1:], start=1):
+        assert not any(r.pair in placements[:step] for r in rows)
+
+
+def test_cv_matrix_is_built_once_per_run(fixture10, monkeypatch):
+    calls = []
+
+    def spy(mat, pairs):
+        calls.append(list(pairs))
+        return cv_matrix(mat, pairs)
+
+    monkeypatch.setattr(place_cv, "cv_matrix", spy)
     mat = ptdf(fixture10)
-    state = initial_state(mat)
-    seen = set(state.selected)
-    for _ in range(6):
-        pair, state, rows = place_next(state, mat)
-        assert pair not in seen
-        assert not any(r.pair in seen for r in rows)
-        seen.add(pair)
+    placements, _tables = run_cv_placement(mat, 4)
+    assert len(placements) == 4
+    assert calls == [node_pairs(mat.bus_ids)]
 
 
 def test_place_next_fallback_keeps_best_of_correlated(triangle3):
@@ -288,6 +331,8 @@ def test_run_cv_placement_fixture10_sequence(fixture10):
 def test_run_cv_placement_count_validation(fixture10):
     with pytest.raises(ValueError, match="count"):
         run_cv_placement(ptdf(fixture10), 0)
+    with pytest.raises(ValueError, match="candidate_cap"):
+        run_cv_placement(ptdf(fixture10), 2, candidate_cap=0)
 
 
 def test_candidate_rows_are_frozen(fixture10):
@@ -329,13 +374,43 @@ def test_spearman_rejects_degenerate():
         spearman([1.0, 1.0], [1.0, 2.0])
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(2, 30))
+def test_spearman_matches_scipy_on_tie_heavy_samples(data, n):
+    sample = st.lists(st.integers(0, 3), min_size=n, max_size=n)
+    a, b = data.draw(sample), data.draw(sample)
+    if len(set(a)) < 2 or len(set(b)) < 2:
+        with pytest.raises(ValueError, match="constant ranks"):
+            spearman(a, b)
+        return
+    assert spearman(a, b) == pytest.approx(spearmanr(a, b).statistic, abs=1e-12)
+
+
 def test_rank_by_norm1_is_descending(fixture10):
     mat = ptdf(fixture10)
-    ranked = rank_by_norm1(mat)
-    norms = [s for _, s in ranked]
+    rows, _rho = metric_report(mat)
+    by_rank = sorted(rows, key=lambda r: r.rank_norm1)
+    norms = [r.norm1 for r in by_rank]
     assert norms == sorted(norms, reverse=True)
-    top_pair, top_norm = ranked[0]
-    assert top_norm == pytest.approx(np.abs(cv(mat, *top_pair).values).sum())
+    top = by_rank[0]
+    assert top.norm1 == pytest.approx(np.abs(cv(mat, *top.pair).values).sum())
+
+
+@pytest.mark.parametrize("name", ["fixture10", "case14", "triangle3"])
+def test_metric_report_ranks_match_scipy(request, name):
+    rows, rho = metric_report(ptdf(request.getfixturevalue(name)))
+    norms = [r.norm1 for r in rows]
+    # dense integer code of (dimension, log_volume): the same order and ties
+    keys = [(r.score.dimension, r.score.log_volume) for r in rows]
+    code = [sorted(set(keys)).index(k) for k in keys]
+    want_n = rankdata([-x for x in norms], method="average")
+    want_v = rankdata([-c for c in code], method="average")
+    assert [r.rank_norm1 for r in rows] == [round(x) for x in want_n]
+    assert [r.rank_volume for r in rows] == [round(x) for x in want_v]
+    if rho is None:
+        assert len(set(want_n)) < 2 or len(set(want_v)) < 2
+    else:
+        assert rho == pytest.approx(spearmanr(norms, code).statistic, abs=1e-12)
 
 
 def test_metric_report_tied_ranks_have_no_rho(triangle3):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dcsens import InjectionProfile, PtdfMatrix, build_susceptance, cv_matrix, ptdf
-from .netmodel import Network, connected_components
+from .netmodel import InputError, Network, connected_components
 
 RANK_REL_TOL = 1e-8
 
@@ -44,7 +44,7 @@ class BoundsReport:
 
 def bounds(net: Network) -> BoundsReport:
     if len(connected_components(net)) != 1:
-        raise ValueError("bounds require a connected network")
+        raise InputError("bounds require a connected network")
     n_b, n_l = net.n_bus, net.n_line
     return BoundsReport(
         series_bound=n_l - n_b + 1,
@@ -67,12 +67,12 @@ def solve_fixed_flows(net: Network, inj: InjectionProfile,
     ``fixed`` maps line id -> flow (p.u., from->to sign).  Unknown ids raise.
     """
     if inj.p.shape != (net.n_bus,):
-        raise ValueError(f"injection length {inj.p.shape[0]} != n_bus {net.n_bus}")
+        raise InputError(f"injection length {inj.p.shape[0]} != n_bus {net.n_bus}")
     a = incidence_matrix(net)
     id_to_col = {ln.id: k for k, ln in enumerate(net.lines_in_service)}
     for lid in fixed:
         if lid not in id_to_col:
-            raise KeyError(f"no in-service line with id {lid}")
+            raise InputError(f"no in-service line with id {lid}")
     fixed_cols = [id_to_col[lid] for lid in fixed]
     fixed_vals = np.array([fixed[lid] for lid in fixed], dtype=float)
     free_cols = [k for k in range(a.shape[1]) if k not in set(fixed_cols)]

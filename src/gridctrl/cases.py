@@ -5,7 +5,7 @@ from __future__ import annotations
 from importlib import resources
 from pathlib import Path
 
-from .netmodel import MATPOWER_SUBSET, NATIVE_JSON, Network, parse_case
+from .netmodel import MATPOWER_SUBSET, NATIVE_JSON, InputError, Network, parse_case
 
 _FORMATS = {".json": NATIVE_JSON, ".m": MATPOWER_SUBSET}
 
@@ -29,7 +29,7 @@ def case_path(name: str) -> Path:
         entry = _case_dir() / candidate
         if entry.is_file():
             return Path(str(entry))
-    raise KeyError(f"no bundled case named '{name}'; have {case_names()}")
+    raise InputError(f"no bundled case named '{name}'; have {case_names()}")
 
 
 def load_case(name: str) -> Network:
@@ -37,5 +37,5 @@ def load_case(name: str) -> Network:
     path = case_path(name)
     fmt = _FORMATS.get(path.suffix)
     if fmt is None:
-        raise KeyError(f"cannot infer a case format from '{name}'")
+        raise InputError(f"cannot infer a case format from '{name}'")
     return parse_case(path.read_text(), fmt)

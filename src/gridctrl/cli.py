@@ -2,12 +2,13 @@
 
 Usage: gridctrl <subcommand> <case> [options]
 
-Exit codes: 0 success, 1 domain infeasibility, 2 input error, 3 internal
-failure (the LP solver gave up, or a bug).  Every failure prints a single
-line to stderr starting with "infeasible: " (exit 1), "error: " (exit 2) or
-"internal: " (exit 3).  Outputs are deterministic byte-for-byte: CSV uses
-12 significant digits, '.' decimals, ',' separators and LF endings; JSON
-uses Python's shortest-round-trip float form.
+Exit codes follow the exception class: 0 success, 1 opf.InfeasibleError,
+2 netmodel.InputError or OSError, 3 any other (the LP solver gave up, or a
+bug).  Every failure prints a single line to stderr starting with
+"infeasible: " (exit 1), "error: " (exit 2) or "internal: " (exit 3).
+Outputs are deterministic byte-for-byte: CSV uses 12 significant digits,
+'.' decimals, ',' separators and LF endings; JSON uses Python's
+shortest-round-trip float form.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .dcsens import InjectionProfile, cv_matrix, lodf, node_pairs, ptdf
 from .netmodel import (
     MATPOWER_SUBSET,
     NATIVE_JSON,
-    CaseFormatError,
+    InputError,
     Network,
     merge_parallel_lines,
     parse_case,
@@ -48,15 +49,7 @@ _STRATEGY_FLAGS = {"const": "constant", "limit": "fraction_of_limit",
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise CliError(message)
-
-
-class CliError(Exception):
-    """Input-side failure; reported as 'error: ...' with exit 2."""
-
-
-class DomainInfeasible(Exception):
-    """Domain-side infeasibility; reported as 'infeasible: ...' with exit 1."""
+        raise InputError(message)
 
 
 # --------------------------------------------------------------------------
@@ -131,22 +124,26 @@ def _write_json_matrix(path: str | None, head: dict, values: np.ndarray) -> None
 def _parse_pair(text: str) -> tuple[int, int]:
     parts = text.split(",")
     if len(parts) != 2:
-        raise CliError(f"expected a pair 'M,N', got '{text}'")
+        raise argparse.ArgumentTypeError(f"expected a pair 'M,N', got '{text}'")
     try:
         m, n = int(parts[0]), int(parts[1])
     except ValueError:
-        raise CliError(f"pair entries must be integers, got '{text}'") from None
+        raise argparse.ArgumentTypeError(
+            f"pair entries must be integers, got '{text}'") from None
     return m, n
 
 
 def _parse_fix(text: str) -> tuple[int, float]:
     lhs, sep, rhs = text.partition("=")
     if not sep:
-        raise CliError(f"expected 'LINE=MW', got '{text}'")
+        raise InputError(f"expected 'LINE=MW', got '{text}'")
     try:
-        return int(lhs), float(rhs)
+        lid, mw = int(lhs), float(rhs)
     except ValueError:
-        raise CliError(f"expected integer line id and MW value, got '{text}'") from None
+        raise InputError(f"expected integer line id and MW value, got '{text}'") from None
+    if not math.isfinite(mw):
+        raise InputError(f"MW value must be finite, got '{text}'")
+    return lid, mw
 
 
 def _parse(args) -> Network:
@@ -155,9 +152,9 @@ def _parse(args) -> Network:
     try:
         text = path.read_text()
     except OSError as exc:
-        raise CliError(f"cannot read case file: {exc}") from exc
+        raise InputError(f"cannot read case file: {exc}") from exc
     except UnicodeDecodeError:
-        raise CliError(f"case file {path} is not UTF-8 text") from None
+        raise InputError(f"case file {path} is not UTF-8 text") from None
     fmt = args.format
     if fmt == "auto":
         fmt = MATPOWER_SUBSET if path.suffix == ".m" else NATIVE_JSON
@@ -169,7 +166,7 @@ def _load(args) -> Network:
     net = _parse(args)
     violations = validate(net)
     if violations:
-        raise CliError(
+        raise InputError(
             "case failed validation: "
             + "; ".join(f"[{v.code}] {v.message}" for v in violations))
     return merge_parallel_lines(net)
@@ -182,12 +179,12 @@ def _nominal_injection(net: Network) -> InjectionProfile:
     p_max = sum(g.p_max for g in net.generators)
     if not net.generators:
         if abs(total_load) > 1e-12:
-            raise CliError("case has loads but no generators to supply them")
+            raise InputError("case has loads but no generators to supply them")
         return InjectionProfile(np.zeros(net.n_bus))
     span = p_max - p_min
     t = 0.0 if span <= 0.0 else (total_load - p_min) / span
     if t < -1e-12 or t > 1.0 + 1e-12 or (span <= 0.0 and abs(total_load - p_min) > 1e-9):
-        raise CliError(
+        raise InputError(
             f"total load {total_load * net.base_mva:g} MW is outside the "
             f"generation range [{p_min * net.base_mva:g}, {p_max * net.base_mva:g}] MW")
     p = -np.array(net.load_vector)
@@ -238,13 +235,13 @@ def _cmd_cv(args) -> int:
     net = _load(args)
     mat = ptdf(net)
     if args.all == (args.pair is not None):
-        raise CliError("choose exactly one of --pair M,N or --all")
+        raise InputError("choose exactly one of --pair M,N or --all")
     if args.pair is not None:
         m, n = args.pair
         if m not in mat.bus_ids or n not in mat.bus_ids:
-            raise CliError(f"unknown bus in pair {m},{n}")
+            raise InputError(f"unknown bus in pair {m},{n}")
         if m == n:
-            raise CliError("pair buses must be distinct")
+            raise InputError("pair buses must be distinct")
     pairs = node_pairs(mat.bus_ids) if args.all else [args.pair]
     vectors = cv_matrix(mat, pairs)
     if args.output == "json":
@@ -292,13 +289,10 @@ def _cmd_fix_flows(args) -> int:
     seen = set()
     for lid, _ in fixed_pairs:
         if lid in seen:
-            raise CliError(f"line {lid} fixed more than once")
+            raise InputError(f"line {lid} fixed more than once")
         seen.add(lid)
     fixed = {lid: mw / net.base_mva for lid, mw in fixed_pairs}
-    try:
-        res = solve_fixed_flows(net, inj, fixed)
-    except KeyError as exc:
-        raise CliError(str(exc.args[0])) from exc
+    res = solve_fixed_flows(net, inj, fixed)
     flows = []
     if res.status == "unique":
         flows = [(ln.id, float(res.flows[k] * net.base_mva))
@@ -462,7 +456,7 @@ def _write_solution(args, net: Network, sol) -> int:
     else:
         _write_csv(args.out, _solution_rows(payload))
     if sol.status != "optimal":
-        raise DomainInfeasible("no dispatch satisfies the constraints")
+        raise opf_mod.InfeasibleError("no dispatch satisfies the constraints")
     return 0
 
 
@@ -478,12 +472,9 @@ def _cmd_sc_opf(args) -> int:
     net = _load(args)
     placements = [tuple(p) for p in args.place or []]
     conts = args.contingency if args.contingency else None
-    try:
-        sol = opf_mod.sc_opf(net, placements, contingencies=conts,
-                             mode=args.mode, p_dc_max=args.pdc_max,
-                             n_segments=args.segments)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    sol = opf_mod.sc_opf(net, placements, contingencies=conts,
+                         mode=args.mode, p_dc_max=args.pdc_max,
+                         n_segments=args.segments)
     return _write_solution(args, net, sol)
 
 
@@ -655,21 +646,12 @@ def run(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except (CliError, CaseFormatError, OSError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DomainInfeasible, opf_mod.InfeasibleError) as exc:
+    except opf_mod.InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 1
-    except np.linalg.LinAlgError as exc:
-        # a ValueError, but a numerical failure rather than bad input
-        print(f"internal: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
-    except (ValueError, KeyError) as exc:
-        # args[0] rather than str(exc), which quotes a KeyError's message
-        msg = exc.args[0] if exc.args else exc
-        print(f"error: {msg}", file=sys.stderr)
-        return 2
     except Exception as exc:
         # a solver failure or a bug, never an input error or infeasibility
         print(f"internal: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -12,13 +12,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .netmodel import Network, connected_components
+from .netmodel import InputError, Network, connected_components
 
 BALANCE_TOL = 1e-9
 _CV_CHUNK = 256         # pairs per subtraction in cv_matrix; bounds its temporaries
 
 
-class DisconnectedNetworkError(ValueError):
+class DisconnectedNetworkError(InputError):
     """The in-service graph is not connected; reduced matrices are singular."""
 
 
@@ -87,7 +87,7 @@ class PtdfMatrix:
         try:
             return self.bus_ids.index(bus_id)
         except ValueError:
-            raise KeyError(f"no bus with id {bus_id}") from None
+            raise InputError(f"no bus with id {bus_id}") from None
 
 
 def ptdf(net: Network) -> PtdfMatrix:
@@ -109,7 +109,7 @@ class InjectionProfile:
     def __post_init__(self):
         p = np.asarray(self.p, dtype=float)
         if abs(float(p.sum())) > BALANCE_TOL:
-            raise ValueError(f"injections must balance to 0, sum = {p.sum():.3e}")
+            raise InputError(f"injections must balance to 0, sum = {p.sum():.3e}")
         object.__setattr__(self, "p", _frozen(p.copy()))
 
     @classmethod
@@ -124,7 +124,7 @@ def dc_flow(net: Network, inj: InjectionProfile) -> np.ndarray:
     """Line flows (p.u., in-service line order) for a balanced injection."""
     mat = ptdf(net)
     if inj.p.shape != (net.n_bus,):
-        raise ValueError(f"injection length {inj.p.shape[0]} != n_bus {net.n_bus}")
+        raise InputError(f"injection length {inj.p.shape[0]} != n_bus {net.n_bus}")
     return mat.values @ inj.p
 
 
@@ -150,10 +150,10 @@ def cv_matrix(mat: PtdfMatrix, pairs) -> np.ndarray:
     try:
         for m, n in pairs:
             if m == n:
-                raise ValueError(f"node pair must be distinct, got ({m}, {n})")
+                raise InputError(f"node pair must be distinct, got ({m}, {n})")
             cols.append((column[m], column[n]))
     except KeyError as exc:
-        raise KeyError(f"no bus with id {exc.args[0]}") from None
+        raise InputError(f"no bus with id {exc.args[0]}") from None
     idx = np.array(cols, dtype=np.intp).reshape(-1, 2)
     by_bus = np.ascontiguousarray(mat.values.T)
     out = np.empty((len(idx), by_bus.shape[1]))
@@ -172,7 +172,7 @@ def apply_hvdc(mat: PtdfMatrix, placements: list[tuple[int, int]],
     """AC flow change (p.u.) from HVDC setpoints on the given node pairs."""
     p_dc = np.asarray(p_dc, dtype=float)
     if p_dc.shape != (len(placements),):
-        raise ValueError(f"{len(placements)} placements but {p_dc.shape} setpoints")
+        raise InputError(f"{len(placements)} placements but {p_dc.shape} setpoints")
     return p_dc @ cv_matrix(mat, placements)
 
 
@@ -188,7 +188,7 @@ def tcsc_sensitivity(net: Network, inj: InjectionProfile, line_id: int) -> np.nd
     lines = net.lines_in_service
     row = next((k for k, ln in enumerate(lines) if ln.id == line_id), None)
     if row is None:
-        raise KeyError(f"no in-service line with id {line_id}")
+        raise InputError(f"no in-service line with id {line_id}")
     ln = lines[row]
     sus = build_susceptance(net)
     theta = _reduced_inverse(sus.b_bus, sus.slack_index) @ inj.p
@@ -215,7 +215,7 @@ class LodfMatrix:
 def remove_line(net: Network, line_id: int) -> Network:
     """Copy of the network with one line switched out of service."""
     if all(ln.id != line_id or not ln.in_service for ln in net.lines):
-        raise KeyError(f"no in-service line with id {line_id}")
+        raise InputError(f"no in-service line with id {line_id}")
     return replace(net, lines=tuple(
         ln if ln.id != line_id else replace(ln, in_service=False) for ln in net.lines))
 
@@ -249,7 +249,7 @@ def lodf(net: Network) -> LodfMatrix:
     singular = np.flatnonzero(np.abs(denom) < 1e-9)
     if singular.size:
         k = singular[0]
-        raise ValueError(f"line {lines[k].id}: outage denominator "
+        raise InputError(f"line {lines[k].id}: outage denominator "
                          f"{denom[k]:.3e} is numerically singular")
     values = h / denom
     values[~bridge, ~bridge] = -1.0

@@ -22,7 +22,11 @@ NATIVE_JSON = "native-json"
 MATPOWER_SUBSET = "matpower-subset"
 
 
-class CaseFormatError(ValueError):
+class InputError(ValueError):
+    """A case, option or argument failed a deliberate check (CLI exit 2)."""
+
+
+class CaseFormatError(InputError):
     """Malformed case file.  Carries a 1-based line/column when known."""
 
     def __init__(self, message: str, line: int | None = None, col: int | None = None):
@@ -614,6 +618,6 @@ def parse_case(text: str, fmt: str = NATIVE_JSON) -> Network:
     elif fmt == MATPOWER_SUBSET:
         net = _parse_matpower(text)
     else:
-        raise ValueError(f"unknown case format '{fmt}'")
+        raise InputError(f"unknown case format '{fmt}'")
     _check_parsed(net)
     return net

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dcsens import bridges, cv_matrix, ptdf, remove_line
-from .netmodel import Network
+from .netmodel import InputError, Network
 from .place_cv import run_cv_placement
 from .place_lp import DeltaStrategy, check_p_dc_max, run_lp_placement
 from .simplex import LpProblem, SimplexNumericalError, solve_lp
@@ -34,14 +34,11 @@ from .simplex import LpProblem, SimplexNumericalError, solve_lp
 PREVENTIVE = "preventive"
 CORRECTIVE = "corrective"
 DEFAULT_SEGMENTS = 10
+TABLEAU_LIMIT_BYTES = 256 * 2**20     # a larger simplex tableau is refused, not built
 
 
 class InfeasibleError(RuntimeError):
-    """A solve required by a composite operation came back infeasible."""
-
-    def __init__(self, which: str):
-        self.which = which
-        super().__init__(f"{which} is infeasible")
+    """The grid admits no solution to a required solve (CLI exit 1)."""
 
 
 @dataclass(frozen=True)
@@ -85,13 +82,13 @@ def _check_contingencies(net: Network, contingencies: list[int] | None) -> list[
     pos = {ln.id for ln in net.lines_in_service}
     unknown = [cid for cid in contingencies if cid not in pos]
     if unknown:
-        raise ValueError(f"unknown or out-of-service contingency line ids: {unknown}")
+        raise InputError(f"unknown or out-of-service contingency line ids: {unknown}")
     if len(set(contingencies)) != len(contingencies):
-        raise ValueError("contingency line ids must be distinct")
+        raise InputError("contingency line ids must be distinct")
     islanded = bridges(net)
     islanding = [cid for cid in contingencies if cid in islanded]
     if islanding:
-        raise ValueError("these contingencies would island the network: "
+        raise InputError("these contingencies would island the network: "
                          + ", ".join(map(str, islanding)))
     return list(contingencies)
 
@@ -99,6 +96,8 @@ def _check_contingencies(net: Network, contingencies: list[int] | None) -> list[
 def _solve(net: Network, placements: list[tuple[int, int]], p_dc_max: float,
            contingencies: list[int], mode: str, n_segments: int) -> OpfSolution:
     check_p_dc_max(p_dc_max)
+    if n_segments < 1:
+        raise InputError(f"n_segments must be >= 1, got {n_segments}")
     line_ids = tuple(ln.id for ln in net.lines_in_service)
     load = np.array(net.load_vector)
     gens = net.generators
@@ -134,8 +133,14 @@ def _solve(net: Network, placements: list[tuple[int, int]], p_dc_max: float,
 
     n_slack = 2 * len(vecs)
     n_vars = n_core + n_slack
-    a = np.zeros((1 + n_slack, n_vars))
-    b = np.zeros(1 + n_slack)
+    m = 1 + n_slack
+    tableau = m * (n_vars + m) * 8        # simplex._Tableau: m x (n + m) float64
+    if tableau > TABLEAU_LIMIT_BYTES:
+        raise InputError(f"the LP has {m} rows and {n_vars} columns: its simplex tableau "
+                         f"needs {tableau / 2**20:.0f} MiB, over the "
+                         f"{TABLEAU_LIMIT_BYTES >> 20} MiB limit")
+    a = np.zeros((m, n_vars))
+    b = np.zeros(m)
     a[0, :n_seg] = 1.0
     b[0] = float(load.sum()) - sum(g.p_min for g in gens)
     # limit rows alternate +flow <= limit - off and -flow <= limit + off
@@ -193,7 +198,7 @@ def sc_opf(net: Network, placements: list[tuple[int, int]] | None = None,
     """Security-constrained OPF; ``contingencies`` defaults to every
     non-islanding line outage."""
     if mode not in (PREVENTIVE, CORRECTIVE):
-        raise ValueError(f"mode must be {PREVENTIVE} or {CORRECTIVE}, got '{mode}'")
+        raise InputError(f"mode must be {PREVENTIVE} or {CORRECTIVE}, got '{mode}'")
     conts = _check_contingencies(net, contingencies)
     return _solve(net, list(placements or []), p_dc_max, conts, mode, n_segments)
 
@@ -213,10 +218,10 @@ def cost_of_security(net: Network, placements: list[tuple[int, int]] | None = No
     """CoS = C_SCOPF - C_OPF with the same controllers on both sides."""
     opt = dc_opf(net, placements, p_dc_max, n_segments)
     if opt.status != "optimal":
-        raise InfeasibleError("opf")
+        raise InfeasibleError("opf is infeasible")
     sec = sc_opf(net, placements, contingencies, mode, p_dc_max, n_segments)
     if sec.status != "optimal":
-        raise InfeasibleError(f"sc-opf {mode}")
+        raise InfeasibleError(f"sc-opf {mode} is infeasible")
     cos_abs = sec.cost - opt.cost
     if abs(cos_abs) <= 1e-9 * (1.0 + abs(opt.cost)):
         cos_abs = 0.0
@@ -247,9 +252,9 @@ def cos_curve(net: Network, max_count: int, algorithm: str = "cv",
               n_segments: int = DEFAULT_SEGMENTS) -> CosCurve:
     """CoS after each of 0..max_count greedily placed controllers."""
     if max_count < 0:
-        raise ValueError("max_count must be >= 0")
+        raise InputError("max_count must be >= 0")
     if algorithm not in ("cv", "lp"):
-        raise ValueError(f"algorithm must be 'cv' or 'lp', got '{algorithm}'")
+        raise InputError(f"algorithm must be 'cv' or 'lp', got '{algorithm}'")
     conts = _check_contingencies(net, contingencies)
     placements: list[tuple[int, int]] = []
     if max_count > 0:

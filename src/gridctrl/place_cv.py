@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dcsens import _CV_CHUNK, PtdfMatrix, cv_matrix, node_pairs
+from .netmodel import InputError
 
 VOLUME_EPS = 1e-9
 COS_THRESHOLD = 0.2
@@ -162,17 +163,19 @@ def run_cv_placement(mat: PtdfMatrix, count: int,
     """Place ``count`` controllers; returns placements and per-step tables.
 
     Step 1 ranks every pair by its own volume.  Each later step keeps the
-    free pairs with cos-phi <= ``cos_threshold`` (or, when none does, those
-    outside the span), takes the ``candidate_cap`` most orthogonal, and
-    places the one with the largest joint orthant volume.
+    free pairs outside the placed ones' span with cos-phi <= ``cos_threshold``
+    (all of them when none is), takes the ``candidate_cap`` most orthogonal,
+    and places the one with the largest joint orthant volume.
     """
     if count < 1:
-        raise ValueError("count must be >= 1")
+        raise InputError("count must be >= 1")
     if candidate_cap < 1:
-        raise ValueError("candidate_cap must be >= 1")
+        raise InputError("candidate_cap must be >= 1")
+    if math.isnan(cos_threshold):
+        raise InputError("cos_threshold must be a number, got nan")
     pairs = node_pairs(mat.bus_ids)
     if not pairs:
-        raise ValueError("case has no node pair to place")
+        raise InputError("case has no node pair to place")
     vectors = cv_matrix(mat, pairs)
     _, dimension, log_volume = row_scores(vectors)
     ranked = _best_first(log_volume, dimension).tolist()
@@ -185,14 +188,14 @@ def run_cv_placement(mat: PtdfMatrix, count: int,
         free = np.ones(len(pairs), dtype=bool)
         free[chosen] = False
         if not free.any():
-            raise ValueError("all node pairs are already placed")
+            raise InputError("all node pairs are already placed")
         cos = np.array(orthogonality(vectors[chosen].T, vectors))
-        cand = np.flatnonzero(free & (cos <= cos_threshold))
+        outside = free & (cos < _SPAN_COS)     # at most n_B - 1 pairs get placed
+        if not outside.any():
+            raise InputError("every remaining pair lies in the span of the basis")
+        cand = np.flatnonzero(outside & (cos <= cos_threshold))
         if not cand.size:
-            # fall back to the most orthogonal pairs; span members stay excluded
-            cand = np.flatnonzero(free & (cos < _SPAN_COS))
-            if not cand.size:
-                raise ValueError("every remaining pair lies in the span of the basis")
+            cand = np.flatnonzero(outside)     # the most orthogonal of the rest
         cand = cand[np.argsort(cos[cand], kind="stable")][:candidate_cap]
         basis = [vectors[i] for i in chosen]
         scores = [orthant_volume_sum(basis, vectors[i]) for i in cand]

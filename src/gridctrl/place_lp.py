@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dcsens import PtdfMatrix, cv_matrix, node_pairs
-from .netmodel import Network
+from .netmodel import InputError, Network
 from .simplex import FEAS_TOL, PIVOT_TOL, LpProblem, SimplexNumericalError, solve_lp
 
 CONSTANT_MW = "constant"
@@ -50,9 +50,11 @@ class DeltaStrategy:
 
     def __post_init__(self):
         if self.kind not in (CONSTANT_MW, OF_LIMIT, OF_REACTANCE):
-            raise ValueError(f"unknown delta strategy '{self.kind}'")
+            raise InputError(f"unknown delta strategy '{self.kind}'")
         if not self.param > 0.0:
-            raise ValueError(f"strategy parameter must be > 0, got {self.param}")
+            raise InputError(f"strategy parameter must be > 0, got {self.param}")
+        if math.isinf(self.param):
+            raise InputError(f"strategy parameter must be finite, got {self.param}")
 
     @classmethod
     def constant(cls, mw: float = 100.0) -> "DeltaStrategy":
@@ -75,7 +77,7 @@ class DeltaStrategy:
                 out[i] = self.param
             elif self.kind == OF_LIMIT:
                 if math.isinf(ln.limit):
-                    raise ValueError(
+                    raise InputError(
                         f"line {lid} has no limit; the {OF_LIMIT} strategy needs one")
                 out[i] = self.param * ln.limit * net.base_mva
             else:
@@ -97,7 +99,7 @@ class EffortResult:
 def check_p_dc_max(p_dc_max: float) -> None:
     """Reject a setpoint cap that is negative or NaN (MW; inf means no cap)."""
     if not p_dc_max >= 0.0:
-        raise ValueError(f"setpoint cap p_dc_max must be >= 0 MW, got {p_dc_max}")
+        raise InputError(f"setpoint cap p_dc_max must be >= 0 MW, got {p_dc_max}")
 
 
 def _effort(cv_rows: np.ndarray, deltas: np.ndarray, p_dc_max: float) -> float | None:
@@ -154,14 +156,14 @@ def control_effort(mat: PtdfMatrix, placements: list[tuple[int, int]],
     """Minimum total |P_DC| in MW to realize the strategy's deltas on
     ``targets``; None when infeasible.  Requires |targets| == |placements|."""
     if len(targets) != len(placements):
-        raise ValueError(
+        raise InputError(
             f"need as many targets as controllers: {len(targets)} vs {len(placements)}")
     if len(set(targets)) != len(targets):
-        raise ValueError("target line ids must be distinct")
+        raise InputError("target line ids must be distinct")
     in_service = {lid: k for k, lid in enumerate(mat.line_ids)}
     for lid in targets:
         if lid not in in_service:
-            raise KeyError(f"no in-service line with id {lid}")
+            raise InputError(f"no in-service line with id {lid}")
     cols = cv_matrix(mat, placements).T
     rows = [in_service[lid] for lid in targets]
     deltas = strategy.deltas(net, tuple(targets))
@@ -181,7 +183,7 @@ def place_lp_next(net: Network, mat: PtdfMatrix,
     """
     pairs = node_pairs(mat.bus_ids)
     if not pairs:
-        raise ValueError("case has no node pair to place")
+        raise InputError("case has no node pair to place")
     k = len(existing) + 1
     line_ids = mat.line_ids
     target_sets = np.array(list(itertools.combinations(range(len(line_ids)), k)),
@@ -211,7 +213,11 @@ def run_lp_placement(net: Network, mat: PtdfMatrix, count: int,
                                 list[list[tuple[tuple[int, int], EffortResult]]]]:
     """Place ``count`` controllers greedily; returns placements and tables."""
     if count < 1:
-        raise ValueError("count must be >= 1")
+        raise InputError("count must be >= 1")
+    # a case without lines has no pair either, which place_lp_next reports
+    if mat.line_ids and count > len(mat.line_ids):
+        raise InputError(f"count {count} exceeds the {len(mat.line_ids)} in-service "
+                         "lines: there is no set of that many target lines")
     placements: list[tuple[int, int]] = []
     tables = []
     for _ in range(count):

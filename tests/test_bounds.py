@@ -13,7 +13,7 @@ from gridctrl.bounds import (
     solve_fixed_flows,
 )
 from gridctrl.dcsens import InjectionProfile, ptdf
-from gridctrl.netmodel import Bus, Line, Network
+from gridctrl.netmodel import Bus, InputError, Line, Network
 
 
 def test_matrix_rank_basics():
@@ -121,7 +121,7 @@ def test_fixed_flows_balance_residual_is_zero(fixture10):
 
 
 def test_fixed_flows_unknown_line(triangle3):
-    with pytest.raises(KeyError, match="no in-service line"):
+    with pytest.raises(InputError, match="no in-service line"):
         solve_fixed_flows(triangle3, InjectionProfile(np.zeros(3)), {9: 0.0})
 
 

@@ -4,6 +4,8 @@ Most tests drive `run()` in process and inspect stdout/stderr through
 capsys; one shells out to verify byte determinism across BLAS thread counts.
 """
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -14,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridctrl.cases import case_names, case_path
 from gridctrl.cli import _cell, run
@@ -200,6 +204,47 @@ def test_bad_pdc_max_is_input_error(capsys, argv, cap):
     code, out, err = cli(capsys, argv[0], FIXTURE10, *argv[1:], "--pdc-max", cap)
     assert (code, out) == (2, "")
     assert err == f"error: setpoint cap p_dc_max must be >= 0 MW, got {float(cap)}\n"
+
+
+_SPAN = "every remaining pair lies in the span of the basis"
+_NO_TARGETS = "count 4 exceeds the 3 in-service lines: there is no set of that many target lines"
+OUT_OF_DOMAIN = [
+    # past the parallel bound n_B - 1: 2 on triangle3, 9 on fixture10
+    ("place-cv triangle3 --count 3 --cos-threshold 1.5", _SPAN),
+    ("place-cv fixture10 --count 10 --cos-threshold 1.5", _SPAN),
+    ("place-cv fixture10 --count 2 --cos-threshold nan", "cos_threshold must be a number, got nan"),
+    ("place-lp triangle3 --count 4", _NO_TARGETS),
+    ("cos-curve triangle3 --max 4 --algorithm lp", _NO_TARGETS),
+    ("place-lp triangle3 --count 1 --param inf", "strategy parameter must be finite, got inf"),
+    ("opf case14 --segments 0", "n_segments must be >= 1, got 0"),
+    ("opf case14 --segments -1", "n_segments must be >= 1, got -1"),
+    ("cos-curve case14 --max 1 --segments 0", "n_segments must be >= 1, got 0"),
+    ("fix-flows fixture10 --fix 1=inf", "MW value must be finite, got '1=inf'"),
+    ("fix-flows fixture10 --fix 1=nan", "MW value must be finite, got '1=nan'"),
+]
+
+
+@pytest.mark.parametrize("command,message", OUT_OF_DOMAIN,
+                         ids=[command for command, _ in OUT_OF_DOMAIN])
+def test_out_of_domain_value_is_input_error(capsys, tmp_path, command, message):
+    name, case, *rest = command.split()
+    target = tmp_path / "out"
+    code, out, err = cli(capsys, name, str(case_path(case)), *rest, "--out", str(target))
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+    assert not target.exists()
+
+
+def test_tableau_past_limit_is_input_error(capsys, tmp_path, monkeypatch):
+    """The SC-OPF LP is refused before its tableau is allocated."""
+    monkeypatch.setattr("gridctrl.opf.TABLEAU_LIMIT_BYTES", 2**20)
+    target = tmp_path / "sc.json"
+    code, out, err = cli(capsys, "sc-opf", FIXTURE10, "--mode", "corrective",
+                         "--out", str(target))
+    assert (code, out) == (2, "")
+    assert err == ("error: the LP has 393 rows and 395 columns: its simplex tableau "
+                   "needs 2 MiB, over the 1 MiB limit\n")
+    assert not target.exists()
 
 
 def test_analysis_gate_rejects_invalid_case(capsys, disconnected_case):
@@ -613,7 +658,9 @@ def test_input_error_writes_no_output(capsys, tmp_path):
 
 @pytest.mark.parametrize("exc", [SimplexStallError("no optimum after 9 iterations"),
                                  ZeroDivisionError("float division by zero"),
-                                 np.linalg.LinAlgError("Singular matrix")])
+                                 np.linalg.LinAlgError("Singular matrix"),
+                                 KeyError("n_seg"),
+                                 ValueError("operands could not be broadcast")])
 def test_solver_failure_or_bug_is_internal(capsys, tmp_path, monkeypatch, exc):
     def broken(*_args, **_kwargs):
         raise exc
@@ -637,6 +684,80 @@ def test_singular_reduced_matrix_is_an_input_error(capsys, monkeypatch):
     code, out, err = cli(capsys, "ptdf", FIXTURE10)
     assert (code, out) == (2, "")
     assert err == "error: reduced susceptance matrix is singular\n"
+
+
+COUNTS = st.sampled_from(["-1", "0", "1", "2", "3", "4"])
+FLOATS = st.sampled_from(["0", "0.5", "1", "50", "300", "-5", "nan", "inf", "-inf"])
+# fixture10 only where every drawn count still runs in milliseconds
+FIXTURE10_COMMANDS = ("opf", "sc-opf", "fix-flows", "place-cv")
+
+
+@st.composite
+def command_lines(draw):
+    """A subcommand on a bundled case with drawn option values."""
+    name = draw(st.sampled_from(["opf", "sc-opf", "cos-curve", "place-cv",
+                                 "place-lp", "fix-flows", "cv"]))
+    cases = ["triangle3", "congested3"] + (["fixture10"] if name in FIXTURE10_COMMANDS else [])
+    argv = [name, str(case_path(draw(st.sampled_from(cases)))),
+            "--output", draw(st.sampled_from(["csv", "json"]))]
+
+    def option(flag, values, required=False, repeat=1):
+        for _ in range(draw(st.integers(1 if required else 0, repeat))):
+            argv.extend([flag, draw(values)])
+
+    pair = st.builds("{},{}".format, COUNTS, COUNTS)
+    modes = st.sampled_from(["preventive", "corrective"])
+    strategies = st.sampled_from(["const", "limit", "reactance"])
+    if name == "cv":
+        option("--pair", pair)
+        if draw(st.booleans()):
+            argv.append("--all")
+    if name == "fix-flows":
+        option("--fix", st.builds("{}={}".format, COUNTS, FLOATS), repeat=2)
+    if name in ("opf", "sc-opf"):
+        option("--place", pair, repeat=2)
+    if name in ("sc-opf", "cos-curve"):
+        option("--mode", modes)
+        option("--contingency", COUNTS, repeat=2)
+    if name in ("place-cv", "place-lp"):
+        option("--count", COUNTS, required=True)
+    if name == "place-cv":
+        option("--cos-threshold", FLOATS)
+        option("--candidate-cap", COUNTS)
+    if name == "cos-curve":
+        option("--max", COUNTS, required=True)
+        option("--algorithm", st.sampled_from(["cv", "lp"]))
+    if name in ("place-lp", "cos-curve"):
+        option("--strategy", strategies)
+        option("--param", FLOATS)
+    if name in ("opf", "sc-opf", "cos-curve", "place-lp"):
+        option("--pdc-max", FLOATS)
+    if name in ("opf", "sc-opf", "cos-curve"):
+        option("--segments", COUNTS)
+    return argv
+
+
+@pytest.fixture(scope="module")
+def out_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("property") / "out"
+
+
+@settings(max_examples=250, deadline=None)
+@given(argv=command_lines())
+def test_no_command_line_on_a_bundled_case_is_internal(out_path, argv):
+    """Whatever the option values, the answer is a result, an infeasibility or
+    an input error: one stderr line with its prefix, and no file on exit 2."""
+    out_path.unlink(missing_ok=True)
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        code = run([*argv, "--out", str(out_path)])
+    err = stderr.getvalue()
+    assert code in (0, 1, 2), err
+    if code:
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert err.startswith({1: "infeasible: ", 2: "error: "}[code])
+    if code == 2:
+        assert not out_path.exists()
 
 
 @pytest.mark.parametrize("x", [

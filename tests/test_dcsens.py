@@ -28,7 +28,7 @@ from gridctrl.dcsens import (
     remove_line,
     tcsc_sensitivity,
 )
-from gridctrl.netmodel import Bus, Line, Network, connected_components
+from gridctrl.netmodel import Bus, InputError, Line, Network, connected_components
 
 
 def balanced_profiles(net, count, seed):
@@ -117,7 +117,7 @@ def test_ptdf_disconnected_raises():
 
 
 def test_bus_column_unknown(fixture10):
-    with pytest.raises(KeyError, match="no bus with id 99"):
+    with pytest.raises(InputError, match="no bus with id 99"):
         ptdf(fixture10).bus_column(99)
 
 
@@ -214,7 +214,7 @@ def test_cv_matrix_rows_are_cv_bitwise(triangle3, congested3, fixture10, case14)
 def test_cv_matrix_errors(fixture10):
     mat = ptdf(fixture10)
     assert cv_matrix(mat, []).shape == (0, len(mat.line_ids))
-    with pytest.raises(KeyError, match="no bus with id 99"):
+    with pytest.raises(InputError, match="no bus with id 99"):
         cv_matrix(mat, [(1, 2), (99, 2)])
     with pytest.raises(ValueError, match="distinct"):
         cv_matrix(mat, [(1, 2), (4, 4)])
@@ -284,7 +284,7 @@ def test_tcsc_bridge_line_cannot_move_its_own_flow(case14):
 
 def test_tcsc_unknown_line(fixture10):
     inj = InjectionProfile(np.zeros(10))
-    with pytest.raises(KeyError, match="no in-service line"):
+    with pytest.raises(InputError, match="no in-service line"):
         tcsc_sensitivity(fixture10, inj, 77)
 
 
@@ -300,7 +300,7 @@ def test_remove_line(fixture10):
 
 
 def test_remove_line_unknown(fixture10):
-    with pytest.raises(KeyError):
+    with pytest.raises(InputError):
         remove_line(fixture10, 99)
 
 

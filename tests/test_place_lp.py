@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from gridctrl import place_lp
 from gridctrl.dcsens import cv, ptdf
-from gridctrl.netmodel import Bus, Line, Network
+from gridctrl.netmodel import Bus, InputError, Line, Network
 from gridctrl.place_lp import (
     DeltaStrategy,
     EffortResult,
@@ -215,7 +215,7 @@ def test_effort_validation(fixture10):
         control_effort(mat, [(1, 8)], [1, 2], strat, net=fixture10)
     with pytest.raises(ValueError, match="distinct"):
         control_effort(mat, [(1, 8), (3, 6)], [4, 4], strat, net=fixture10)
-    with pytest.raises(KeyError, match="no in-service line"):
+    with pytest.raises(InputError, match="no in-service line"):
         control_effort(mat, [(1, 8)], [55], strat, net=fixture10)
     for cap in (-5.0, math.nan):
         with pytest.raises(ValueError, match="p_dc_max must be >= 0"):

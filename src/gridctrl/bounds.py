@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dcsens import InjectionProfile, PtdfMatrix, build_susceptance, cv_matrix, ptdf
-from .netmodel import InputError, Network, connected_components
+from .netmodel import InputError, Network
 
 RANK_REL_TOL = 1e-8
 
@@ -43,8 +43,7 @@ class BoundsReport:
 
 
 def bounds(net: Network) -> BoundsReport:
-    if len(connected_components(net)) != 1:
-        raise InputError("bounds require a connected network")
+    """Series and parallel bounds.  Requires a connected network (see ptdf)."""
     n_b, n_l = net.n_bus, net.n_line
     return BoundsReport(
         series_bound=n_l - n_b + 1,

@@ -5,9 +5,9 @@ from __future__ import annotations
 from importlib import resources
 from pathlib import Path
 
-from .netmodel import MATPOWER_SUBSET, NATIVE_JSON, InputError, Network, parse_case
+from .netmodel import InputError, Network, read_case
 
-_FORMATS = {".json": NATIVE_JSON, ".m": MATPOWER_SUBSET}
+_EXTENSIONS = (".json", ".m")
 
 
 def _case_dir():
@@ -18,13 +18,13 @@ def case_names() -> list[str]:
     """Bundled case file names (with extension), sorted."""
     return sorted(
         entry.name for entry in _case_dir().iterdir()
-        if entry.name.rsplit(".", 1)[-1] in ("json", "m")
+        if entry.name.endswith(_EXTENSIONS)
     )
 
 
 def case_path(name: str) -> Path:
     """Filesystem path of a bundled case; the extension may be omitted."""
-    candidates = [name] if "." in name else [name + ext for ext in _FORMATS]
+    candidates = [name] if "." in name else [name + ext for ext in _EXTENSIONS]
     for candidate in candidates:
         entry = _case_dir() / candidate
         if entry.is_file():
@@ -33,9 +33,5 @@ def case_path(name: str) -> Path:
 
 
 def load_case(name: str) -> Network:
-    """Parse a bundled case by file name, format from the extension."""
-    path = case_path(name)
-    fmt = _FORMATS.get(path.suffix)
-    if fmt is None:
-        raise InputError(f"cannot infer a case format from '{name}'")
-    return parse_case(path.read_text(), fmt)
+    """Parse a bundled case by file name (see :func:`netmodel.read_case`)."""
+    return read_case(case_path(name))

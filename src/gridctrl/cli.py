@@ -18,7 +18,6 @@ import contextlib
 import json
 import math
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -26,15 +25,7 @@ from . import opf as opf_mod
 from .bounds import bounds as bounds_op
 from .bounds import solve_fixed_flows
 from .dcsens import InjectionProfile, cv_matrix, lodf, node_pairs, ptdf
-from .netmodel import (
-    MATPOWER_SUBSET,
-    NATIVE_JSON,
-    InputError,
-    Network,
-    merge_parallel_lines,
-    parse_case,
-    validate,
-)
+from .netmodel import InputError, Network, merge_parallel_lines, read_case, validate
 from .place_cv import (
     CANDIDATE_CAP,
     COS_THRESHOLD,
@@ -146,24 +137,9 @@ def _parse_fix(text: str) -> tuple[int, float]:
     return lid, mw
 
 
-def _parse(args) -> Network:
-    """The case as read: format from --format, or by extension under auto."""
-    path = Path(args.case)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise InputError(f"cannot read case file: {exc}") from exc
-    except UnicodeDecodeError:
-        raise InputError(f"case file {path} is not UTF-8 text") from None
-    fmt = args.format
-    if fmt == "auto":
-        fmt = MATPOWER_SUBSET if path.suffix == ".m" else NATIVE_JSON
-    return parse_case(text, fmt)
-
-
 def _load(args) -> Network:
     """The parsed case, rejected on any violation, parallel lines merged."""
-    net = _parse(args)
+    net = read_case(args.case)
     violations = validate(net)
     if violations:
         raise InputError(
@@ -203,7 +179,7 @@ def _strategy(args) -> DeltaStrategy:
 
 
 def _cmd_validate(args) -> int:
-    violations = validate(_parse(args))
+    violations = validate(read_case(args.case))
     if args.output == "json":
         _write_json(args.out, [{"code": v.code, "message": v.message}
                                for v in violations])
@@ -506,9 +482,7 @@ def _cmd_cos_curve(args) -> int:
 
 
 def _add_common(sub, default_output: str) -> None:
-    sub.add_argument("case", help="path to the case file")
-    sub.add_argument("--format", choices=["auto", NATIVE_JSON, MATPOWER_SUBSET],
-                     default="auto", help="case format (auto = by extension)")
+    sub.add_argument("case", help="case file: MATPOWER subset if it ends in .m, else native JSON")
     sub.add_argument("--output", choices=["csv", "json"], default=default_output)
     sub.add_argument("--out", metavar="FILE", default=None,
                      help="write output to FILE instead of stdout")

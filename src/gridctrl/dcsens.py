@@ -28,7 +28,7 @@ def _require_connected(net: Network) -> None:
     comps = connected_components(net)
     if len(comps) > 1:
         raise DisconnectedNetworkError(
-            f"network splits into {len(comps)} components over in-service lines")
+            f"network is not connected: {len(comps)} components over in-service lines")
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:

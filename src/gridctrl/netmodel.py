@@ -6,6 +6,9 @@ given in the source file.  Case files carry MW values: the parsers divide by
 ``base_mva`` once on the way in and :func:`serialize_case` multiplies back on
 the way out.  Generator cost coefficients are rescaled so the polynomial
 takes per-unit power and still returns $/h.
+
+The parsers check syntax, types and numbers only; :func:`validate` alone
+judges a case's structure.  :func:`read_case` picks the format by file name.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import math
 import re
 from dataclasses import dataclass, replace
 from functools import cached_property
+from pathlib import Path
 
 UNLIMITED = math.inf
 
@@ -118,7 +122,7 @@ class Network:
     def slack_id(self) -> int:
         slacks = [b.id for b in self.buses if b.is_slack]
         if len(slacks) != 1:
-            raise ValueError(f"network has {len(slacks)} slack buses, need exactly 1")
+            raise InputError(f"network has {len(slacks)} slack buses, need exactly 1")
         return slacks[0]
 
     @property
@@ -166,8 +170,12 @@ def connected_components(net: Network) -> list[set[int]]:
 
 
 def validate(net: Network) -> list[Violation]:
-    """Structural checks.  Returns a report; an empty list means valid."""
+    """All structural checks on a case.  Returns a report; an empty list means valid."""
     out: list[Violation] = []
+
+    def mw(v: float) -> str:
+        return f"{v * net.base_mva:.12g} MW"
+
     seen_bus: set[int] = set()
     for b in net.buses:
         if b.id in seen_bus:
@@ -189,19 +197,21 @@ def validate(net: Network) -> list[Violation]:
         if not ln.reactance > 0.0:
             out.append(Violation("bad-reactance", f"line {ln.id} reactance must be > 0, got {ln.reactance}"))
         if not ln.limit > 0.0:
-            out.append(Violation("bad-limit", f"line {ln.id} limit must be > 0 or unlimited, got {ln.limit}"))
+            out.append(Violation("bad-limit",
+                                 f"line {ln.id} limit must be > 0 or unlimited, got {mw(ln.limit)}"))
     for i, g in enumerate(net.generators):
         if g.bus not in seen_bus:
             out.append(Violation("dangling-bus", f"generator {i} references missing bus {g.bus}"))
         if g.p_min > g.p_max:
-            out.append(Violation("gen-bounds", f"generator {i} has p_min {g.p_min} > p_max {g.p_max}"))
+            out.append(Violation("gen-bounds",
+                                 f"generator {i} has p_min {mw(g.p_min)} > p_max {mw(g.p_max)}"))
         if g.cost[2] < 0.0:
             out.append(Violation("nonconvex-cost", f"generator {i} has negative quadratic cost coefficient"))
     for i, ld in enumerate(net.loads):
         if ld.bus not in seen_bus:
             out.append(Violation("dangling-bus", f"load {i} references missing bus {ld.bus}"))
         if ld.p < 0.0:
-            out.append(Violation("negative-load", f"load {i} has negative demand {ld.p}"))
+            out.append(Violation("negative-load", f"load {i} has negative demand {mw(ld.p)}"))
     if net.buses and not any(v.code == "dangling-bus" for v in out):
         comps = connected_components(net)
         if len(comps) > 1:
@@ -323,7 +333,7 @@ def _parse_native(text: str) -> Network:
         if raw_limit == "unlimited":
             limit = UNLIMITED
         elif isinstance(raw_limit, (int, float)) and not isinstance(raw_limit, bool):
-            limit = _finite(_finite(raw_limit, f"{where}: limit") / base, f"{where}: limit in per unit")
+            limit = _per_unit(_finite(raw_limit, f"{where}: limit"), base, f"{where}: limit")
         else:
             raise CaseFormatError(f"{where}: limit must be a number or \"unlimited\"")
         lines.append(Line(
@@ -345,15 +355,30 @@ def _parse_native(text: str) -> Network:
         c += [0.0] * (3 - len(c))
         gens.append(Generator(
             bus=_req(g, "bus", int, where),
-            p_min=_req(g, "p_min", float, where) / base,
-            p_max=_req(g, "p_max", float, where) / base,
-            cost=(c[0], c[1] * base, c[2] * base * base),
+            p_min=_per_unit(_req(g, "p_min", float, where), base, f"{where}: key 'p_min'"),
+            p_max=_per_unit(_req(g, "p_max", float, where), base, f"{where}: key 'p_max'"),
+            cost=(c[0], _per_unit(c[1], base, f"{where}: cost[1]", -1),
+                  _per_unit(c[2], base, f"{where}: cost[2]", -2)),
         ))
 
-    loads = [Load(bus=_req(d, "bus", int, where), p=_req(d, "p", float, where) / base)
+    loads = [Load(bus=_req(d, "bus", int, where),
+                  p=_per_unit(_req(d, "p", float, where), base, f"{where}: key 'p'"))
              for where, d in _entries(doc, "loads")]
     return Network(buses=tuple(buses), lines=tuple(lines),
                    generators=tuple(gens), loads=tuple(loads), base_mva=base)
+
+
+def _per_unit(value: float, base: float, what: str, mw_power: int = 1) -> float:
+    """A finite case-file number in per unit on ``base``: a MW quantity
+    (``mw_power`` 1) is divided by it, a cost coefficient per MW or per MW²
+    (``mw_power`` -1 or -2) multiplied by it once or twice.  ``what`` names
+    the key or file row when the result overflows."""
+    pu = value / base if mw_power == 1 else value
+    for _ in range(-mw_power):
+        pu *= base
+    if not math.isfinite(pu):
+        raise CaseFormatError(f"{what} in per unit must be a finite number (base_mva {base!r})")
+    return pu
 
 
 def _file_number(value: float, guess: float, to_pu) -> float:
@@ -527,7 +552,7 @@ def _parse_matpower(text: str) -> Network:
             raise CaseFormatError(f"bus row {i + 1}: unsupported bus type {bus_type}")
         buses.append(Bus(id=bus_id, is_slack=bus_type == 3))
         if pd != 0.0:
-            loads.append(Load(bus=bus_id, p=pd / base))
+            loads.append(Load(bus=bus_id, p=_per_unit(pd, base, f"bus row {i + 1}: load")))
 
     lines: list[Line] = []
     for i, row in enumerate(tables["branch"]):
@@ -545,7 +570,7 @@ def _parse_matpower(text: str) -> Network:
             to_bus=_whole(row[1], "branch", i, "to bus"),
             reactance=row[3],
             limit=(UNLIMITED if rate_a == 0.0
-                   else _finite(rate_a / base, f"branch row {i + 1}: limit in per unit")),
+                   else _per_unit(rate_a, base, f"branch row {i + 1}: limit")),
             in_service=row[10] != 0.0,
         ))
 
@@ -558,8 +583,7 @@ def _parse_matpower(text: str) -> Network:
     for i, row in enumerate(gen_rows):
         if len(row) < 10:
             raise CaseFormatError(f"gen row {i + 1}: expected >= 10 columns, got {len(row)}")
-        status = row[7]
-        cost = (0.0, 0.0, 0.0)
+        c2 = c1 = c0 = 0.0
         if cost_rows:
             crow = cost_rows[i]
             if len(crow) < 4:
@@ -572,52 +596,41 @@ def _parse_matpower(text: str) -> Network:
             if ncost > 3 or ncost < 1 or len(crow) != 4 + ncost:
                 raise CaseFormatError(
                     f"gencost row {i + 1}: expected 1..3 polynomial coefficients matching NCOST")
-            coeffs = crow[4:4 + ncost]  # highest order first
-            padded = [0.0] * (3 - ncost) + list(coeffs)
-            c2, c1, c0 = padded
-            cost = (c0, c1 * base, c2 * base * base)
-        if status == 0.0:
+            c2, c1, c0 = [0.0] * (3 - ncost) + crow[4:]  # highest order first
+        if row[7] == 0.0:  # out of service
             continue
-        gens.append(Generator(bus=_whole(row[0], "gen", i, "bus"),
-                              p_min=row[9] / base, p_max=row[8] / base, cost=cost))
+        gens.append(Generator(
+            bus=_whole(row[0], "gen", i, "bus"),
+            p_min=_per_unit(row[9], base, f"gen row {i + 1}: p_min"),
+            p_max=_per_unit(row[8], base, f"gen row {i + 1}: p_max"),
+            cost=(c0, _per_unit(c1, base, f"gencost row {i + 1}: c1", -1),
+                  _per_unit(c2, base, f"gencost row {i + 1}: c2", -2)),
+        ))
 
     return Network(buses=tuple(buses), lines=tuple(lines),
                    generators=tuple(gens), loads=tuple(loads), base_mva=base)
 
 
-def _check_parsed(net: Network) -> None:
-    """Hard parse-time checks; softer issues are left to validate()."""
-    seen: set[int] = set()
-    for b in net.buses:
-        if b.id in seen:
-            raise CaseFormatError(f"duplicate bus id {b.id}")
-        seen.add(b.id)
-    slack_count = sum(1 for b in net.buses if b.is_slack)
-    if slack_count == 0:
-        raise CaseFormatError("no slack bus defined")
-    if slack_count > 1:
-        raise CaseFormatError(f"{slack_count} slack buses defined, need exactly 1")
-    seen_l: set[int] = set()
-    for ln in net.lines:
-        if ln.id in seen_l:
-            raise CaseFormatError(f"duplicate line id {ln.id}")
-        seen_l.add(ln.id)
-        if not ln.reactance > 0.0:
-            raise CaseFormatError(f"line {ln.id}: reactance must be > 0, got {ln.reactance}")
-    scaled = [(f"generator {i}", (g.p_min, g.p_max, *g.cost)) for i, g in enumerate(net.generators)]
-    scaled += [(f"load {i}", (ld.p,)) for i, ld in enumerate(net.loads)]
-    for what, values in scaled:
-        if not all(map(math.isfinite, values)):
-            raise CaseFormatError(f"{what}: a value overflows in per unit on base_mva {net.base_mva!r}")
-
-
 def parse_case(text: str, fmt: str = NATIVE_JSON) -> Network:
-    """Parse a case file body.  ``fmt`` is 'native-json' or 'matpower-subset'."""
+    """Parse a case file body.  ``fmt`` is 'native-json' or 'matpower-subset'.
+
+    Checks syntax, types and numbers only; see :func:`validate` for structure.
+    """
     if fmt == NATIVE_JSON:
-        net = _parse_native(text)
-    elif fmt == MATPOWER_SUBSET:
-        net = _parse_matpower(text)
-    else:
-        raise InputError(f"unknown case format '{fmt}'")
-    _check_parsed(net)
-    return net
+        return _parse_native(text)
+    if fmt == MATPOWER_SUBSET:
+        return _parse_matpower(text)
+    raise InputError(f"unknown case format '{fmt}'")
+
+
+def read_case(path: str | Path) -> Network:
+    """Read and parse a case file: a ``.m`` file as the MATPOWER subset, any
+    other as native JSON.  An unreadable file is an :class:`InputError`."""
+    path = Path(path)
+    try:
+        text = path.read_text()
+    except OSError as exc:
+        raise InputError(f"cannot read case file: {exc}") from exc
+    except UnicodeDecodeError:
+        raise InputError(f"case file {path} is not UTF-8 text") from None
+    return parse_case(text, MATPOWER_SUBSET if path.suffix == ".m" else NATIVE_JSON)

@@ -91,12 +91,9 @@ class _Tableau:
         self.status[:n] = np.where(fin_lo, _AT_LOWER, np.where(fin_up, _AT_UPPER, _FREE))
 
         resid = p.b_eq - p.a_eq @ self.x[:n]
-        signs = np.where(resid >= 0.0, 1.0, -1.0)
-        a_ext = np.hstack([p.a_eq, np.diag(signs)])
-        # initial basis = artificials, B^-1 = diag(signs)
-        self.t = signs[:, None] * a_ext
-        self.a_ext = a_ext
-        self.b = p.b_eq.copy()
+        self.signs = np.where(resid >= 0.0, 1.0, -1.0)
+        # columns [A, diag(signs)]; initial basis = artificials, B^-1 = diag(signs)
+        self.t = self.signs[:, None] * np.hstack([p.a_eq, np.diag(self.signs)])
         self.basis = np.arange(n, n + m)
         self.x[n:] = np.abs(resid)
         self.iterations = 0
@@ -189,10 +186,11 @@ def _certify(p: LpProblem, tab: _Tableau) -> np.ndarray:
     no factorisation.  A basis too ill-conditioned to carry them fails the
     reduced-cost check on its own basic columns.
     """
-    n, m = tab.n, tab.m
+    n, m, signs = tab.n, tab.m, tab.signs
     x = tab.x
-    scale_b = 1.0 + np.abs(tab.b).max(initial=0.0)
-    if np.abs(tab.a_ext @ x - tab.b).max(initial=0.0) > FEAS_TOL * scale_b:
+    scale_b = 1.0 + np.abs(p.b_eq).max(initial=0.0)
+    resid = p.a_eq @ x[:n] + signs * x[n:] - p.b_eq
+    if np.abs(resid).max(initial=0.0) > FEAS_TOL * scale_b:
         raise SimplexNumericalError("primal residual exceeds tolerance")
     span = np.abs(x).max(initial=0.0) + 1.0
     if (np.any(x < tab.lower - FEAS_TOL * span)
@@ -200,9 +198,8 @@ def _certify(p: LpProblem, tab: _Tableau) -> np.ndarray:
         raise SimplexNumericalError("variable bound violated at optimum")
 
     cvec = np.concatenate([p.c, np.zeros(m)])
-    signs = np.diagonal(tab.a_ext[:, n:])
     y = (cvec[tab.basis] @ tab.t[:, n:]) * signs
-    z = cvec - tab.a_ext.T @ y
+    z = cvec - np.concatenate([p.a_eq.T @ y, signs * y])
     dual_tol = FEAS_TOL * (1.0 + np.abs(p.c).max(initial=0.0))
     movable = tab.upper - tab.lower > 0.0
     for state, bad, where in ((_AT_LOWER, z < -dual_tol, "at a lower bound"),

@@ -21,7 +21,9 @@ from hypothesis import strategies as st
 
 from gridctrl.cases import case_names, case_path
 from gridctrl.cli import _cell, run
+from gridctrl.netmodel import MATPOWER_SUBSET
 from gridctrl.simplex import SimplexStallError
+from test_netmodel import mutated_cases
 
 FIXTURE10 = str(case_path("fixture10"))
 CASE14 = str(case_path("case14"))
@@ -91,6 +93,76 @@ def test_validate_csv_output(capsys, disconnected_case):
     lines = out.splitlines()
     assert lines[0] == "code,message"
     assert lines[1].startswith("disconnected,")
+
+
+LINE = (1, 1, 2, 0.1, "unlimited")
+# one case file per validate code: (buses, lines, generators, loads)
+VIOLATIONS = {
+    "duplicate-bus-id": ([1, 2, 2], [LINE], (), ()),
+    "slack-count": ([2, 3], [(1, 2, 3, 0.1, "unlimited")], (), ()),
+    "duplicate-line-id": ([1, 2], [LINE, (1, 1, 2, 0.2, "unlimited")], (), ()),
+    "dangling-bus": ([1, 2], [LINE, (2, 2, 7, 0.1, "unlimited")], (), ()),
+    "self-loop": ([1, 2], [LINE, (2, 2, 2, 0.1, "unlimited")], (), ()),
+    "bad-reactance": ([1, 2], [(1, 1, 2, -0.1, "unlimited")], (), ()),
+    "bad-limit": ([1, 2], [(1, 1, 2, 0.1, -5.0)], (), ()),
+    "gen-bounds": ([1, 2], [LINE], [(1, 50.0, 10.0, ())], ()),
+    "nonconvex-cost": ([1, 2], [LINE], [(1, 0.0, 100.0, (0.0, 10.0, -1.0))], ()),
+    "negative-load": ([1, 2], [LINE], (), [(2, -5.0)]),
+    "disconnected": ([1, 2, 3], [LINE], (), ()),
+}
+
+
+@pytest.mark.parametrize("output", ["csv", "json"])
+@pytest.mark.parametrize("code", sorted(VIOLATIONS))
+def test_validate_lists_each_code_from_a_file(capsys, tmp_path, code, output):
+    path = tmp_path / "case.json"
+    path.write_text(native_doc(*VIOLATIONS[code]))
+    exit_code, out, err = cli(capsys, "validate", str(path), "--output", output)
+    assert exit_code == 2
+    if output == "json":
+        codes = [v["code"] for v in json.loads(out)]
+    else:
+        codes = [row.split(",", 1)[0] for row in out.splitlines()[1:]]
+    assert code in codes
+    assert err == f"error: case has {len(codes)} violation(s)\n"
+
+
+def test_validate_lists_every_violation_in_mw(capsys, tmp_path):
+    """All of a file's faults, not the first one, with powers in MW."""
+    path = tmp_path / "case.json"
+    path.write_text(native_doc([1, 2, 2], [(1, 1, 2, -0.1, -5.0), (1, 1, 2, 0.1, 20.0)],
+                               loads=[(2, -2.5)]))
+    exit_code, out, _err = cli(capsys, "validate", str(path))
+    assert exit_code == 2
+    assert [(v["code"], v["message"]) for v in json.loads(out)] == [
+        ("duplicate-bus-id", "bus id 2 appears more than once"),
+        ("bad-reactance", "line 1 reactance must be > 0, got -0.1"),
+        ("bad-limit", "line 1 limit must be > 0 or unlimited, got -5 MW"),
+        ("duplicate-line-id", "line id 1 appears more than once"),
+        ("negative-load", "load 0 has negative demand -2.5 MW"),
+    ]
+    code, out, err = cli(capsys, "bounds", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: case failed validation: [duplicate-bus-id] ")
+
+
+@pytest.fixture(scope="module")
+def case_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutated")
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=mutated_cases(), command=st.sampled_from(["validate", "bounds", "ptdf"]),
+       output=st.sampled_from(["csv", "json"]))
+def test_mutated_case_file_is_never_internal(case_dir, case, command, output):
+    """Whatever a case file holds, the answer is a result or an input error."""
+    fmt, text = case
+    path = case_dir / ("case.m" if fmt == MATPOWER_SUBSET else "case.json")
+    path.write_text(text)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = run([command, str(path), "--output", output])
+    assert code in (0, 2), stderr.getvalue()
 
 
 def test_missing_file_is_input_error(capsys, tmp_path):

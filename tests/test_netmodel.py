@@ -17,6 +17,7 @@ from gridctrl.netmodel import (
     Bus,
     CaseFormatError,
     Generator,
+    InputError,
     Line,
     Load,
     Network,
@@ -105,7 +106,11 @@ def test_native_short_cost_forms():
      "lines[0]: limit in per unit must be a finite number"),
     (lambda d: d.update(base_mva=1e300, generators=[{"bus": 1, "p_min": 0.0, "p_max": 1.0,
                                                      "cost": [0, 0, 1.0]}]),
-     "generator 0: a value overflows in per unit"),
+     "generators[0]: cost[2] in per unit must be a finite number (base_mva 1e+300)"),
+    (lambda d: d.update(base_mva=1e-300, loads=[{"bus": 2, "p": 1e10}]),
+     "loads[0]: key 'p' in per unit must be a finite number"),
+    (lambda d: d.update(base_mva=1e-300, generators=[{"bus": 1, "p_min": 0.0, "p_max": 1e10}]),
+     "generators[0]: key 'p_max' in per unit must be a finite number"),
     (lambda d: d["buses"][1].update(is_slack="no"),
      "buses[1]: key 'is_slack' must be true or false, got str"),
     (lambda d: d["buses"][0].update(is_slack=1),
@@ -143,19 +148,26 @@ def test_native_syntax_error_position():
     assert "line 2" in str(info.value)
 
 
-@pytest.mark.parametrize("doc,fragment", [
-    ({**MINIMAL, "buses": [{"id": 1}, {"id": 2}]}, "no slack bus"),
+@pytest.mark.parametrize("doc,code", [
+    ({**MINIMAL, "buses": [{"id": 1}, {"id": 2}]}, "slack-count"),
     ({**MINIMAL, "buses": [{"id": 1, "is_slack": True},
-                           {"id": 2, "is_slack": True}]}, "2 slack buses"),
+                           {"id": 2, "is_slack": True}]}, "slack-count"),
     ({**MINIMAL, "buses": [{"id": 1, "is_slack": True}, {"id": 1}]},
-     "duplicate bus id 1"),
-    ({**MINIMAL, "lines": MINIMAL["lines"] * 2}, "duplicate line id 1"),
+     "duplicate-bus-id"),
+    ({**MINIMAL, "lines": MINIMAL["lines"] * 2}, "duplicate-line-id"),
     ({**MINIMAL, "lines": [{"id": 1, "from_bus": 1, "to_bus": 2,
-                            "reactance": 0.0}]}, "reactance must be > 0"),
-])
-def test_parse_time_rejects(doc, fragment):
-    with pytest.raises(CaseFormatError, match=fragment):
-        native(doc)
+                            "reactance": 0.0}]}, "bad-reactance"),
+], ids=["no-slack", "two-slacks", "duplicate-bus", "duplicate-line", "zero-reactance"])
+def test_parser_leaves_structure_to_validate(doc, code):
+    """The parser reads a structurally broken case; validate names the fault."""
+    assert code in {v.code for v in validate(native(doc))}
+
+
+@pytest.mark.parametrize("slack", [False, True])
+def test_slack_id_needs_exactly_one_slack_bus(slack):
+    net = native({**MINIMAL, "buses": [{"id": 1, "is_slack": slack}, {"id": 2, "is_slack": slack}]})
+    with pytest.raises(InputError, match=f"network has {2 * slack} slack buses"):
+        net.slack_id
 
 
 def test_roundtrip_exact(triangle3, fixture10, congested3):
@@ -455,6 +467,10 @@ def test_matpower_comments_and_inline_rows():
     (lambda t: t.replace("baseMVA = 100", "baseMVA = 1e999"), "got '1e999'", 3),
     (lambda t: t.replace("baseMVA = 100", "baseMVA = 1e-300").replace(" 250 ", " 1e10 "),
      "branch row 1: limit in per unit must be a finite", None),
+    (lambda t: t.replace("baseMVA = 100", "baseMVA = 1e-300").replace(" 40.5 ", " 1e10 "),
+     "bus row 2: load in per unit must be a finite", None),
+    (lambda t: t.replace("baseMVA = 100", "baseMVA = 1e300"),
+     r"gencost row 1: c2 in per unit must be a finite number \(base_mva 1e\+300\)", None),
     (lambda t: t.replace("  1 3 0 ", "  1.5 3 0 "), "bus row 1: bus id must be an integer, got 1.5",
      None),
     (lambda t: t.replace("  2 1 40.5", "  2 1.5 40.5"),

@@ -1,7 +1,8 @@
 """DC OPF, security-constrained OPF, and the cost-of-security curve.
 
 Everything is one LP over segment variables (piecewise-linearized generator
-costs, exact for linear ones), HVDC setpoints, and one slack per flow bound:
+costs, exact for linear ones), HVDC setpoints, and one ranged row per limited
+flow, whose slack is boxed in [0, 2 limit]:
 
 * network states: the intact grid and, for SC-OPF, one outaged copy per
   contingency.  Each state's flows come from its own PTDF plus CV columns,
@@ -131,9 +132,8 @@ def _solve(net: Network, placements: list[tuple[int, int]], p_dc_max: float,
     keep = np.isfinite(lims)
     vecs, offs, lims = np.concatenate(coefs)[keep], np.concatenate(offsets)[keep], lims[keep]
 
-    n_slack = 2 * len(vecs)
-    n_vars = n_core + n_slack
-    m = 1 + n_slack
+    n_vars = n_core + len(vecs)
+    m = 1 + len(vecs)
     tableau = m * (n_vars + m) * 8        # simplex._Tableau: m x (n + m) float64
     if tableau > TABLEAU_LIMIT_BYTES:
         raise InputError(f"the LP has {m} rows and {n_vars} columns: its simplex tableau "
@@ -143,11 +143,10 @@ def _solve(net: Network, placements: list[tuple[int, int]], p_dc_max: float,
     b = np.zeros(m)
     a[0, :n_seg] = 1.0
     b[0] = float(load.sum()) - sum(g.p_min for g in gens)
-    # limit rows alternate +flow <= limit - off and -flow <= limit + off
-    a[1::2, :n_core] = vecs
-    a[2::2, :n_core] = -vecs
-    b[1::2] = lims - offs
-    b[2::2] = lims + offs
+    # one ranged row per limited flow: flow + slack = limit - off, with the
+    # slack in [0, 2 limit], keeps -limit <= flow + off <= limit
+    a[1:, :n_core] = vecs
+    b[1:] = lims - offs
     np.fill_diagonal(a[1:, n_core:], 1.0)
 
     lower = np.zeros(n_vars)
@@ -157,6 +156,7 @@ def _solve(net: Network, placements: list[tuple[int, int]], p_dc_max: float,
     cost[:n_seg] = [slope for _gi, _w, slope in seg_slots]
     lower[n_seg:n_core] = -dc_bound
     upper[n_seg:n_core] = dc_bound
+    upper[n_core:] = 2.0 * lims
 
     res = solve_lp(LpProblem.build(cost, a, b, lower, upper))
     if res.status == "infeasible":

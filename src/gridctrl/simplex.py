@@ -86,9 +86,12 @@ class _Tableau:
         self.upper = np.concatenate([p.upper, np.full(m, np.inf)])
         self.x = np.zeros(self.total)
         self.status = np.full(self.total, _BASIC, dtype=np.int8)
-        fin_lo, fin_up = np.isfinite(p.lower), np.isfinite(p.upper)
-        self.x[:n] = np.where(fin_lo, p.lower, np.where(fin_up, p.upper, 0.0))
-        self.status[:n] = np.where(fin_lo, _AT_LOWER, np.where(fin_up, _AT_UPPER, _FREE))
+        # each column starts at the point of its box nearest 0, so a huge
+        # finite bound never enters the residual arithmetic
+        start = np.clip(0.0, p.lower, p.upper)
+        self.x[:n] = start
+        self.status[:n] = np.where(start == p.lower, _AT_LOWER,
+                                   np.where(start == p.upper, _AT_UPPER, _FREE))
 
         resid = p.b_eq - p.a_eq @ self.x[:n]
         self.signs = np.where(resid >= 0.0, 1.0, -1.0)
@@ -137,7 +140,8 @@ class _Tableau:
                 room = self.x[bvars[shrink]] - self.lower[bvars[shrink]]
                 ratios[shrink] = np.maximum(room, 0.0) / (-rate[shrink])
 
-            own = rng[j]  # inf unless both bounds finite
+            # distance from x[j] to the bound it moves towards, inf if none
+            own = self.upper[j] - self.x[j] if direction > 0 else self.x[j] - self.lower[j]
             row_min = ratios.min() if self.m else np.inf
             delta = min(own, row_min)
             if not np.isfinite(delta):
@@ -150,7 +154,7 @@ class _Tableau:
                 bland = False
 
             if own <= row_min:
-                # bound flip: variable crosses its box, basis unchanged
+                # bound flip: variable reaches that bound, basis unchanged
                 self.x[bvars] -= direction * own * d
                 self.x[j] = self.upper[j] if direction > 0 else self.lower[j]
                 self.status[j] = _AT_UPPER if direction > 0 else _AT_LOWER

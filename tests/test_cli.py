@@ -12,6 +12,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,9 +20,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridctrl.cases import case_names, case_path
+from gridctrl.cases import case_names, case_path, load_case
 from gridctrl.cli import _cell, run
-from gridctrl.netmodel import MATPOWER_SUBSET
+from gridctrl.netmodel import MATPOWER_SUBSET, serialize_case
 from gridctrl.simplex import SimplexStallError
 from test_netmodel import mutated_cases
 
@@ -278,6 +279,20 @@ def test_bad_pdc_max_is_input_error(capsys, argv, cap):
     assert err == f"error: setpoint cap p_dc_max must be >= 0 MW, got {float(cap)}\n"
 
 
+@pytest.mark.parametrize("command,cap", [
+    ("sc-opf congested3 --mode corrective --place 1,2", "1e12"),
+    ("opf fixture10 --place 1,8", "1e15"),
+    ("opf fixture10 --place 1,8", "1e20")])
+def test_huge_pdc_max_solves_as_uncapped(capsys, command, cap):
+    """A finite cap far past any useful setpoint prints what no cap prints."""
+    name, case, *rest = command.split()
+    argv = [name, str(case_path(case)), *rest, "--output", "json", "--pdc-max"]
+    code, out, err = cli(capsys, *argv, cap)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["status"] == "optimal"
+    assert out == cli(capsys, *argv, "inf")[1]
+
+
 _SPAN = "every remaining pair lies in the span of the basis"
 _NO_TARGETS = "count 4 exceeds the 3 in-service lines: there is no set of that many target lines"
 OUT_OF_DOMAIN = [
@@ -310,11 +325,15 @@ def test_out_of_domain_value_is_input_error(capsys, tmp_path, command, message):
 def test_tableau_past_limit_is_input_error(capsys, tmp_path, monkeypatch):
     """The SC-OPF LP is refused before its tableau is allocated."""
     monkeypatch.setattr("gridctrl.opf.TABLEAU_LIMIT_BYTES", 2**20)
+    net = load_case("case14")                   # every line limited to 200 MW
+    case = tmp_path / "case14_limited.json"
+    case.write_text(serialize_case(replace(net, lines=tuple(
+        replace(ln, limit=2.0) for ln in net.lines))))
     target = tmp_path / "sc.json"
-    code, out, err = cli(capsys, "sc-opf", FIXTURE10, "--mode", "corrective",
+    code, out, err = cli(capsys, "sc-opf", str(case), "--mode", "corrective",
                          "--out", str(target))
     assert (code, out) == (2, "")
-    assert err == ("error: the LP has 393 rows and 395 columns: its simplex tableau "
+    assert err == ("error: the LP has 382 rows and 431 columns: its simplex tableau "
                    "needs 2 MiB, over the 1 MiB limit\n")
     assert not target.exists()
 
@@ -759,7 +778,8 @@ def test_singular_reduced_matrix_is_an_input_error(capsys, monkeypatch):
 
 
 COUNTS = st.sampled_from(["-1", "0", "1", "2", "3", "4"])
-FLOATS = st.sampled_from(["0", "0.5", "1", "50", "300", "-5", "nan", "inf", "-inf"])
+FLOATS = st.sampled_from(["0", "0.5", "1", "50", "300", "1e12", "1e15", "1e20",
+                          "-5", "nan", "inf", "-inf"])
 # fixture10 only where every drawn count still runs in milliseconds
 FIXTURE10_COMMANDS = ("opf", "sc-opf", "fix-flows", "place-cv")
 

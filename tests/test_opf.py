@@ -2,11 +2,14 @@
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
-from conftest import angle_flows
+from conftest import angle_flows, unit_pair, without_line
+from gridctrl.cases import load_case
 from gridctrl.netmodel import Bus, Generator, Line, Load, Network
 from gridctrl.opf import (
     CosReport,
@@ -317,3 +320,126 @@ def test_cos_curve_validation(fixture10):
         cos_curve(fixture10, -1)
     with pytest.raises(ValueError, match="algorithm"):
         cos_curve(fixture10, 1, algorithm="best")
+
+
+# ---------------------------------------------------------------------------
+# LP oracle: HiGHS on a formulation built from the case data alone
+
+PLACEMENTS = {"triangle3": [(1, 3), (2, 3)], "congested3": [(1, 2), (2, 3)],
+              "fixture10": [(1, 8), (2, 6)], "case14": [(1, 8), (2, 6)]}
+
+
+def _states(net, contingencies):
+    """(network, line limits, flow per unit injection at each bus) for the
+    intact grid and then each outage, from direct angle solves (p.u.)."""
+    for state in [net] + [without_line(net, cid) for cid in contingencies]:
+        by_bus = np.column_stack([angle_flows(state, np.eye(net.n_bus)[k])
+                                  for k in range(net.n_bus)])
+        yield state, np.array([ln.limit for ln in state.lines_in_service]), by_bus
+
+
+def highs_opf(net, placements, p_dc_max, contingencies, corrective):
+    """(status, cost) of the DC OPF or SC-OPF by HiGHS.
+
+    Costs are the same piecewise-linear segments as ``opf`` (10 per quadratic
+    unit, one per linear unit).  Each limited flow, base and post-outage, is
+    two inequality rows, +flow <= limit and -flow <= limit.  A corrective
+    outage reads its own HVDC block, every other state the base block.
+    """
+    gens = net.generators
+    widths, slopes, seg_bus = [], [], []
+    for g in gens:
+        if g.p_max - g.p_min <= 1e-12:
+            continue
+        points = (np.array([g.p_min, g.p_max]) if g.cost[2] == 0.0
+                  else np.linspace(g.p_min, g.p_max, 11))
+        costs = np.array([g.cost_at(p) for p in points])
+        widths += list(np.diff(points))
+        slopes += list(np.diff(costs) / np.diff(points))
+        seg_bus += [net.bus_index[g.bus]] * (len(points) - 1)
+    n_seg, n_dc = len(widths), len(placements)
+    n_blocks = 1 + len(contingencies) if corrective else 1
+    n = n_seg + n_dc * n_blocks
+    fixed = -np.array(net.load_vector)
+    for g in gens:
+        fixed[net.bus_index[g.bus]] += g.p_min
+    rows, rhs = [], []
+    for s, (state, limits, by_bus) in enumerate(_states(net, contingencies)):
+        coef = np.zeros((len(limits), n))
+        coef[:, :n_seg] = by_bus[:, seg_bus]
+        dc = n_seg + n_dc * (s if corrective else 0)
+        for j, (m, k) in enumerate(placements):
+            coef[:, dc + j] = angle_flows(state, unit_pair(net, m, k))
+        off = by_bus @ fixed
+        finite = np.isfinite(limits)
+        rows += [coef[finite], -coef[finite]]
+        rhs += [limits[finite] - off[finite], limits[finite] + off[finite]]
+    cap = p_dc_max / net.base_mva
+    if n == 0:                        # nothing to dispatch: balanced and within limits?
+        ok = abs(sum(net.load_vector) - sum(g.p_min for g in gens)) <= 1e-9 and all(
+            np.all(r >= 0.0) for r in rhs)
+        return ("optimal", sum(g.cost_at(g.p_min) for g in gens)) if ok else ("infeasible", None)
+    res = linprog(
+        np.concatenate([slopes, np.zeros(n - n_seg)]),
+        A_ub=np.vstack(rows), b_ub=np.concatenate(rhs),
+        A_eq=np.concatenate([np.ones(n_seg), np.zeros(n - n_seg)])[None, :],
+        b_eq=[sum(net.load_vector) - sum(g.p_min for g in gens)],
+        bounds=[(0.0, w) for w in widths] + [(-cap, cap)] * (n - n_seg),
+        method="highs")
+    assert res.status in (0, 2), res.message
+    if res.status == 2:
+        return "infeasible", None
+    return "optimal", res.fun + sum(g.cost_at(g.p_min) for g in gens)
+
+
+def assert_point_feasible(net, sol, p_dc_max, contingencies, placements):
+    """The printed dispatch and setpoints keep every flow within its limit."""
+    tol = 1e-6
+    scale = net.base_mva
+    p_gen = np.array(sol.dispatch.p_gen) / scale
+    for g, p in zip(net.generators, p_gen):
+        assert g.p_min - tol <= p <= g.p_max + tol
+    assert p_gen.sum() == pytest.approx(sum(net.load_vector), abs=tol)
+    inj = -np.array(net.load_vector)
+    for g, p in zip(net.generators, p_gen):
+        inj[net.bus_index[g.bus]] += p
+    blocks = [sol.hvdc_base] + [(sol.hvdc_contingency or {}).get(cid, sol.hvdc_base)
+                                for cid in contingencies]
+    for block in blocks:
+        assert len(block) == len(placements)
+        assert all(abs(p) <= p_dc_max * (1 + tol) for p in block)
+    for s, (state, limits, _by_bus) in enumerate(_states(net, contingencies)):
+        flow_inj = inj + sum((p / scale * unit_pair(net, m, k)
+                              for p, (m, k) in zip(blocks[s], placements)),
+                             np.zeros(net.n_bus))
+        flows = angle_flows(state, flow_inj)
+        if s == 0:
+            np.testing.assert_allclose(np.array(sol.flows) / scale, flows, atol=tol)
+        assert np.all(np.abs(flows) <= limits + tol), f"state {s}"
+
+
+@pytest.mark.parametrize("flip", [False, True], ids=["as-is", "flipped"])
+@pytest.mark.parametrize("mode", ["opf", "preventive", "corrective"])
+@pytest.mark.parametrize("name", sorted(PLACEMENTS))
+def test_opf_agrees_with_highs(name, mode, flip):
+    """Status and cost match HiGHS on an independently built LP, and the
+    printed point is feasible, for 0-2 controllers, uncapped and at 50 MW.
+    Flipping every line's ends negates every flow, so a limit that binds
+    in one direction is checked in the other too."""
+    net = load_case(name)
+    if flip:
+        net = replace(net, lines=tuple(replace(ln, from_bus=ln.to_bus, to_bus=ln.from_bus)
+                                       for ln in net.lines))
+    conts = [] if mode == "opf" else default_contingencies(net)
+    for count in range(3):
+        placements = PLACEMENTS[name][:count]
+        for cap in (math.inf, 50.0):
+            if mode == "opf":
+                sol = dc_opf(net, placements, p_dc_max=cap)
+            else:
+                sol = sc_opf(net, placements, mode=mode, p_dc_max=cap)
+            status, cost = highs_opf(net, placements, cap, conts, mode == "corrective")
+            assert sol.status == status, (placements, cap)
+            if status == "optimal":
+                assert abs(sol.cost - cost) <= 1e-7 * (1 + abs(cost)), (placements, cap)
+                assert_point_feasible(net, sol, cap, conts, placements)

@@ -32,6 +32,11 @@ VOLUME_EPS = 1e-9
 COS_THRESHOLD = 0.2
 CANDIDATE_CAP = 10
 _SPAN_COS = 1.0 - 1e-9      # candidates at/above this lie in the basis span
+# a larger sign-combination matrix, (3^j - 1) x n_L float64 for j controllers
+# on n_L lines, is refused, not built; scoring holds about five arrays of its
+# size at once (lattice 118, 233 lines: j = 10 takes 110 MiB and peaks near
+# 610 MB, j = 11 would take 314 MiB and peak near 1.7 GB)
+ORTHANT_LIMIT_BYTES = 256 * 2**20
 
 
 @dataclass(frozen=True)
@@ -117,9 +122,23 @@ def _log_sum_exp(values: list[float]) -> float:
     return top + math.log(sum(math.exp(v - top) for v in values))
 
 
+def check_orthant_size(j: int, n_lines: int) -> None:
+    """Refuse to score j controllers on n_lines lines when the matrix of
+    their 3^j - 1 sign combinations would exceed ``ORTHANT_LIMIT_BYTES``."""
+    # past 3^40 combinations the size is only a lower bound, so a huge j
+    # costs no huge power
+    need = (3 ** min(j, 40) - 1) * n_lines * 8
+    if need > ORTHANT_LIMIT_BYTES:
+        raise InputError(f"scoring {j} controllers on {n_lines} lines takes 3^{j} - 1 "
+                         f"sign combinations: their matrix needs "
+                         f"{'over ' if j > 40 else ''}{need >> 20} MiB, "
+                         f"over the {ORTHANT_LIMIT_BYTES >> 20} MiB limit")
+
+
 def orthant_volume_sum(selected: list[np.ndarray], candidate: np.ndarray,
                        eps: float = VOLUME_EPS) -> VolumeScore:
     """Joint score of selected CVs plus one candidate (steps 7-12)."""
+    check_orthant_size(len(selected) + 1, len(candidate))
     dirs = _dedupe_directions([np.asarray(v, dtype=float) for v in selected]
                               + [np.asarray(candidate, dtype=float)])
     base = np.column_stack(dirs)                      # (n_L, j)
@@ -173,6 +192,8 @@ def run_cv_placement(mat: PtdfMatrix, count: int,
         raise InputError("candidate_cap must be >= 1")
     if math.isnan(cos_threshold):
         raise InputError("cos_threshold must be a number, got nan")
+    # the placed vectors are independent, so no step scores more than n_B - 1
+    check_orthant_size(min(count, len(mat.bus_ids) - 1), len(mat.line_ids))
     pairs = node_pairs(mat.bus_ids)
     if not pairs:
         raise InputError("case has no node pair to place")

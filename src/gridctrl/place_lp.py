@@ -9,7 +9,8 @@ of such blocks at once:
 * a regular block (smallest singular value above the simplex's pivot
   tolerance, relative to max(largest, 1)) has the single feasible point
   P_DC = CV^-1 delta, so its effort is the closed form sum |P_DC|, and it is
-  infeasible exactly when max |P_DC| > p_dc_max;
+  infeasible when max |P_DC| exceeds p_dc_max by more than the simplex's
+  bound tolerance;
 * a singular block whose delta lies farther from its range than twice the
   simplex's phase-1 tolerance is infeasible without any LP;
 * every other singular block reaches its target along a whole family of
@@ -125,8 +126,11 @@ def _efforts(blocks: np.ndarray, deltas: np.ndarray, p_dc_max: float) -> np.ndar
 
     ``blocks`` is (s, k, k), the CV rows of k target lines for k controllers
     in each of s target sets, and ``deltas`` is (s, k).  A regular block is
-    solved in closed form and counts as feasible iff max |P_DC| <= p_dc_max,
-    compared exactly, with no tolerance.  A singular block is infeasible when
+    solved in closed form.  Both paths share one rule at the cap: setpoints
+    are within it when max |P_DC| <= p_dc_max + FEAS_TOL * (1 + max |P_DC|),
+    the bound test the simplex certifies every effort LP point with.  So a
+    setpoint that meets the cap up to roundoff counts as feasible, as the
+    effort LP counts it.  A singular block is infeasible when
     the 2-norm of its delta's component off the block's range exceeds
     2 * FEAS_TOL * (1 + max |delta|): phase 1 of the LP minimises the 1-norm
     residual, which is no smaller, so the LP would report it infeasible too.
@@ -139,7 +143,9 @@ def _efforts(blocks: np.ndarray, deltas: np.ndarray, p_dc_max: float) -> np.ndar
     regular = ~small[:, -1]
     if regular.any():
         x = np.abs(np.linalg.solve(blocks[regular], deltas[regular][..., None])[..., 0])
-        efforts[regular] = np.where(x.max(axis=1) <= p_dc_max, x.sum(axis=1), np.nan)
+        peak = x.max(axis=1)
+        within = peak <= p_dc_max + FEAS_TOL * (1.0 + peak)
+        efforts[regular] = np.where(within, x.sum(axis=1), np.nan)
     off_range = np.sqrt((np.einsum("sji,sj->si", u, deltas) ** 2 * small).sum(axis=1))
     reachable = off_range <= 2.0 * FEAS_TOL * (1.0 + np.abs(deltas).max(axis=1))
     for i in np.flatnonzero(~regular & reachable):

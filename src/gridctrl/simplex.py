@@ -4,8 +4,11 @@ Solves   min c @ x   s.t.   A x = b,   lower <= x <= upper
 with infinite bounds allowed on either side.  Two phases (artificial
 variables for feasibility), Dantzig pricing with a Bland-rule fallback after
 a degenerate streak so cycling cannot occur, explicit bound-flip steps for
-boxed variables.  Dense tableau arithmetic: this is meant for the small
-problems this package generates, not as a general-purpose LP code.
+boxed variables.  Dense tableau storage: this is meant for the small
+problems this package generates, not as a general-purpose LP code.  A pivot
+updates only the cells it changes, those in a row where the pivot column is
+nonzero and a column where the pivot row is nonzero; each of them gets the
+same single multiply-subtract the full rank-1 update would give it.
 
 The optimal status is only returned after the point the pivots produced, and
 the duals read off the final tableau, pass primal and dual feasibility checks
@@ -174,13 +177,23 @@ class _Tableau:
             self.x[leaving] = self.upper[leaving] if rate[r] > 0 else self.lower[leaving]
             self.status[leaving] = _AT_UPPER if rate[r] > 0 else _AT_LOWER
 
-            piv = self.t[r, j]
-            self.t[r] /= piv
-            col = self.t[:, j].copy()
-            col[r] = 0.0
-            self.t -= np.outer(col, self.t[r])
+            self._pivot(r, j)
             self.basis[r] = j
             self.status[j] = _BASIC
+
+    def _pivot(self, r: int, j: int) -> None:
+        """Eliminate column j from every row but r, which is scaled to t[r, j] = 1.
+
+        Only the cells where both column j and row r are nonzero change; every
+        other cell would have a product of 0 subtracted from it.
+        """
+        piv = self.t[r, j]
+        self.t[r] /= piv
+        col = self.t[:, j].copy()
+        col[r] = 0.0
+        rows = col.nonzero()[0]
+        cols = self.t[r].nonzero()[0]
+        self.t[rows[:, None], cols] -= col[rows, None] * self.t[r, cols]
 
 
 def _certify(p: LpProblem, tab: _Tableau) -> np.ndarray:

@@ -338,6 +338,18 @@ def test_tableau_past_limit_is_input_error(capsys, tmp_path, monkeypatch):
     assert not target.exists()
 
 
+def test_orthant_past_limit_is_input_error(capsys, tmp_path, monkeypatch):
+    """place-cv is refused before its sign-combination matrix is built."""
+    monkeypatch.setattr("gridctrl.place_cv.ORTHANT_LIMIT_BYTES", 2**20)
+    target = tmp_path / "place.json"
+    code, out, err = cli(capsys, "place-cv", FIXTURE10, "--count", "9",
+                         "--out", str(target))
+    assert (code, out) == (2, "")
+    assert err == ("error: scoring 9 controllers on 14 lines takes 3^9 - 1 sign "
+                   "combinations: their matrix needs 2 MiB, over the 1 MiB limit\n")
+    assert not target.exists()
+
+
 def test_analysis_gate_rejects_invalid_case(capsys, disconnected_case):
     """Every analysis subcommand refuses a case that fails validation."""
     code, _out, err = cli(capsys, "ptdf", disconnected_case)

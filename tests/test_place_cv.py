@@ -11,10 +11,11 @@ from scipy.stats import rankdata, spearmanr
 
 from gridctrl import place_cv
 from gridctrl.dcsens import PtdfMatrix, cv, cv_matrix, node_pairs, ptdf
-from gridctrl.netmodel import Bus, Line, Network
+from gridctrl.netmodel import Bus, InputError, Line, Network
 from gridctrl.place_cv import (
     VOLUME_EPS,
     CandidateRow,
+    check_orthant_size,
     metric_report,
     orthant_volume_sum,
     orthogonality,
@@ -247,6 +248,33 @@ def test_orthant_all_cancelling_rejected():
     zero = np.zeros(2)
     with pytest.raises(ValueError, match="cancel"):
         orthant_volume_sum([zero], zero)
+
+
+def test_orthant_size_limit():
+    """(3^j - 1) x n_L float64 against ORTHANT_LIMIT_BYTES, in integers only:
+    j = 10 fits on the 233 lines of a 118-bus lattice, j = 11 does not."""
+    check_orthant_size(10, 233)
+    with pytest.raises(InputError, match=r"^scoring 11 controllers on 233 lines takes "
+                       r"3\^11 - 1 sign combinations: their matrix needs 314 MiB, "
+                       r"over the 256 MiB limit$"):
+        check_orthant_size(11, 233)
+    with pytest.raises(InputError, match=r"3\^1000000000000 - 1 sign combinations: "
+                       r"their matrix needs over \d+ MiB"):
+        check_orthant_size(10**12, 1)
+    check_orthant_size(10**12, 0)
+
+
+def test_orthant_past_limit_is_refused_before_any_work(fixture10, monkeypatch):
+    """A run is refused before its CV matrix is built, and a direct call
+    before its sign combinations are."""
+    monkeypatch.setattr(place_cv, "ORTHANT_LIMIT_BYTES", 2**9)
+    calls = []
+    monkeypatch.setattr(place_cv, "cv_matrix", lambda *a: calls.append(a))
+    with pytest.raises(InputError, match=r"3\^3 - 1 sign combinations"):
+        run_cv_placement(ptdf(fixture10), 3)
+    assert calls == []
+    with pytest.raises(InputError, match=r"3\^2 - 1 sign combinations"):
+        orthant_volume_sum([np.ones(14)], np.arange(14.0))
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from gridctrl import place_lp
-from gridctrl.dcsens import cv, ptdf
+from gridctrl.dcsens import cv, cv_matrix, ptdf
 from gridctrl.netmodel import Bus, InputError, Line, Network
+from gridctrl.simplex import FEAS_TOL
 from gridctrl.place_lp import (
     DeltaStrategy,
     EffortResult,
@@ -20,6 +22,23 @@ from gridctrl.place_lp import (
     place_lp_next,
     run_lp_placement,
 )
+
+
+@pytest.fixture(scope="module", autouse=True)
+def effort_lps():
+    """(problem, result) of every effort LP the tests here hand to the
+    simplex, for the HiGHS replay at the end of the module."""
+    solved = []
+    real = place_lp.solve_lp
+
+    def recording(problem, *args, **kwargs):
+        res = real(problem, *args, **kwargs)
+        solved.append((problem, res))
+        return res
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(place_lp, "solve_lp", recording)
+        yield solved
 
 
 @pytest.fixture(scope="module")
@@ -164,16 +183,44 @@ def test_efforts_match_effort_lp(stack):
             assert effort == pytest.approx(want, rel=1e-9, abs=0.0)
 
 
-def test_effort_cap_boundary_is_exact(fixture10):
-    """A setpoint exactly at the cap is allowed; one ulp less cap is not."""
+def test_effort_cap_boundary_is_the_lp_rule(fixture10):
+    """A setpoint over the cap by at most FEAS_TOL (1 + |P_DC|) is allowed,
+    one over it by twice that is not; where the effort LP's verdict is
+    clear-cut (at the cap up to roundoff, or past the band) it agrees."""
     mat = ptdf(fixture10)
     strat = DeltaStrategy.constant(100.0)
+    block = cv(mat, 1, 8).values[:1, None]
+    delta = np.array([100.0])
     effort = control_effort(mat, [(1, 8)], [1], strat, net=fixture10)
-    assert control_effort(mat, [(1, 8)], [1], strat, p_dc_max=effort,
+    band = FEAS_TOL * (1.0 + effort)
+    assert control_effort(mat, [(1, 8)], [1], strat, p_dc_max=effort - 0.5 * band,
                           net=fixture10) == effort
-    assert control_effort(mat, [(1, 8)], [1], strat,
-                          p_dc_max=float(np.nextafter(effort, 0.0)),
-                          net=fixture10) is None
+    for cap in (effort, float(np.nextafter(effort, 0.0))):
+        assert control_effort(mat, [(1, 8)], [1], strat, p_dc_max=cap,
+                              net=fixture10) == effort
+        assert _effort(block, delta, cap) == pytest.approx(effort, rel=1e-12)
+    for cap in (effort - 2.0 * band, effort * (1.0 - 1e-6)):
+        assert control_effort(mat, [(1, 8)], [1], strat, p_dc_max=cap,
+                              net=fixture10) is None
+        assert _effort(block, delta, cap) is None
+
+
+@pytest.mark.parametrize("candidate, effort", [((2, 6), 691.681131468978),
+                                               ((2, 5), 519.5146255223352)])
+def test_setpoint_at_the_cap_up_to_roundoff_is_feasible(fixture10, candidate, effort):
+    """place-lp fixture10 --count 3 --strategy const --pdc-max 300, step 3:
+    on target lines 4, 6 and 11 the third controller's setpoint is 300 MW,
+    which the closed form may compute a few ulps above the cap (as
+    300.0000000000002 for 2-6).  Both paths count the set feasible."""
+    mat = ptdf(fixture10)
+    placements, targets = [(7, 8), (7, 9), candidate], [4, 6, 11]
+    block = cv_matrix(mat, placements).T[[mat.line_ids.index(t) for t in targets]]
+    peak = np.abs(np.linalg.solve(block, np.full(3, 100.0))).max()
+    assert peak == pytest.approx(300.0, rel=1e-12)
+    got = control_effort(mat, placements, targets, DeltaStrategy.constant(100.0),
+                         p_dc_max=300.0, net=fixture10)
+    assert got == pytest.approx(effort, rel=1e-12)
+    assert _effort(block, np.full(3, 100.0), 300.0) == pytest.approx(effort, rel=1e-12)
 
 
 @pytest.fixture
@@ -306,3 +353,27 @@ def test_compare_placements_empty():
 def test_compare_placements_length_check():
     with pytest.raises(ValueError, match="same length"):
         compare_placements([(1, 2)], [])
+
+
+# ---------------------------------------------------------------------------
+# every effort LP above, replayed on HiGHS
+
+
+def test_effort_lps_agree_with_highs(wheatstone, effort_lps):
+    """Same status, and the objective within 1e-7 (1 + |obj|), on every
+    effort LP this module built; the singular Wheatstone block at three caps
+    makes sure both statuses are among them when this test runs alone."""
+    mat = ptdf(wheatstone)
+    for cap in (math.inf, 150.0, 99.0):
+        control_effort(mat, [(1, 3), (1, 3)], [1, 3], DeltaStrategy.constant(100.0),
+                       p_dc_max=cap, net=wheatstone)
+    statuses = set()
+    for problem, res in effort_lps:
+        highs = linprog(problem.c, A_eq=problem.a_eq, b_eq=problem.b_eq,
+                        bounds=list(zip(problem.lower, problem.upper)), method="highs")
+        status = {0: "optimal", 2: "infeasible"}[highs.status]
+        assert res.status == status
+        if status == "optimal":
+            assert abs(res.objective - highs.fun) <= 1e-7 * (1.0 + abs(highs.fun))
+        statuses.add(status)
+    assert statuses == {"optimal", "infeasible"}

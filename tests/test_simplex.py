@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from gridctrl import simplex
+from gridctrl import opf, simplex
 from gridctrl.simplex import LpProblem, SimplexNumericalError, SimplexStallError, solve_lp
 
 INF = np.inf
@@ -265,3 +265,92 @@ def test_agrees_with_highs(p):
         assert abs(res.objective - objective) <= 1e-7 * (1.0 + abs(objective))
         np.testing.assert_allclose(p.a_eq @ res.x, p.b_eq, atol=1e-7)
         assert (res.x >= p.lower - 1e-7).all() and (res.x <= p.upper + 1e-7).all()
+
+
+# ---------------------------------------------------------------------------
+# the pivot updates only the cells it changes: same path and bits as the
+# full rank-1 update
+
+
+class _DenseTableau(simplex._Tableau):
+    """Reference pivot: subtract the rank-1 update from the whole tableau."""
+
+    def _pivot(self, r, j):
+        self.t[r] /= self.t[r, j]
+        col = self.t[:, j].copy()
+        col[r] = 0.0
+        self.t -= np.outer(col, self.t[r])
+
+
+def solve_with(tableau, p: LpProblem):
+    """solve_lp on ``tableau``; the result and the final basis."""
+    made = []
+
+    class Recorded(tableau):
+        def __init__(self, problem):
+            super().__init__(problem)
+            made.append(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplex, "_Tableau", Recorded)
+        res = solve_lp(p)
+    return res, made[0].basis.copy()
+
+
+def assert_same_path(p: LpProblem):
+    got, got_basis = solve_with(simplex._Tableau, p)
+    want, want_basis = solve_with(_DenseTableau, p)
+    assert got.status == want.status
+    assert got.iterations == want.iterations
+    np.testing.assert_array_equal(got_basis, want_basis)
+    if want.x is None:
+        assert got.x is None
+    else:
+        assert np.array_equal(got.x, want.x) and got.objective == want.objective
+    return got
+
+
+@st.composite
+def block_lps(draw):
+    """2-6 small_lps() blocks on the diagonal plus one row coupling them
+    through a new free, cost-free column, so most pivot rows and columns are
+    sparse and the whole is feasible (bounded) iff every block is."""
+    blocks = [draw(small_lps()) for _ in range(draw(st.integers(2, 6)))]
+    n = sum(b.c.shape[0] for b in blocks)
+    m = sum(b.b_eq.shape[0] for b in blocks)
+    a = np.zeros((m + 1, n + 1))
+    i = j = 0
+    for b in blocks:
+        rows, cols = b.a_eq.shape
+        a[i:i + rows, j:j + cols] = b.a_eq
+        i, j = i + rows, j + cols
+    a[m, :n] = draw(st.lists(st.integers(-1, 1), min_size=n, max_size=n))
+    a[m, n] = -1.0
+
+    def stacked(field, coupling):
+        return np.concatenate([getattr(b, field) for b in blocks] + [[coupling]])
+
+    return lp(stacked("c", 0.0), a, stacked("b_eq", 0.0),
+              stacked("lower", -INF), stacked("upper", INF))
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=block_lps())
+def test_pivot_matches_the_full_update_on_block_lps(p):
+    assert_same_path(p)
+
+
+def test_pivot_matches_the_full_update_on_corrective_sc_opf(fixture10):
+    problems = []
+
+    def capture(problem):
+        problems.append(problem)
+        return solve_lp(problem)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(opf, "solve_lp", capture)
+        opf.sc_opf(fixture10, [(1, 8)], mode=opf.CORRECTIVE)
+    (p,) = problems
+    res = assert_same_path(p)
+    assert p.b_eq.shape == (197,)
+    assert res.status == "optimal" and res.iterations > 100

@@ -63,7 +63,7 @@ def solve_fixed_flows(net: Network, inj: InjectionProfile,
                       fixed: dict[int, float]) -> FixedFlowResult:
     """Classify the node-balance system once ``fixed`` line flows are pinned.
 
-    ``fixed`` maps line id -> flow (p.u., from->to sign).  Unknown ids raise.
+    ``fixed`` maps line id -> flow (MW, from->to sign).  Unknown ids raise.
     """
     if inj.p.shape != (net.n_bus,):
         raise InputError(f"injection length {inj.p.shape[0]} != n_bus {net.n_bus}")
@@ -79,7 +79,11 @@ def solve_fixed_flows(net: Network, inj: InjectionProfile,
     rhs = inj.p - (a[:, fixed_cols] @ fixed_vals if fixed_cols else 0.0)
     a_free = a[:, free_cols]
     r = matrix_rank(a_free)
-    r_aug = matrix_rank(np.column_stack([a_free, rhs]))
+    # rhs in units of the largest injection or pin (at least 1 MW): the rank
+    # test is relative to the largest singular value, which the rhs of a
+    # large case would set
+    scale = max(1.0, np.abs(inj.p).max(initial=0.0), np.abs(fixed_vals).max(initial=0.0))
+    r_aug = matrix_rank(np.column_stack([a_free, rhs / scale]))
     if r_aug > r:
         return FixedFlowResult(status="inconsistent")
     if r < len(free_cols):

@@ -8,7 +8,7 @@ bug).  Every failure prints a single line to stderr starting with
 "infeasible: " (exit 1), "error: " (exit 2) or "internal: " (exit 3).
 Outputs are deterministic byte-for-byte: CSV uses 12 significant digits,
 '.' decimals, ',' separators and LF endings; JSON uses Python's
-shortest-round-trip float form.
+shortest-round-trip float form and prints a NaN or infinite value as null.
 """
 
 from __future__ import annotations
@@ -93,14 +93,14 @@ def _write_csv(path: str | None, rows) -> None:
 
 def _write_json(path: str | None, obj, indent=2, separators=None) -> None:
     with _sink(path) as fh:
-        json.dump(obj, fh, indent=indent, separators=separators)
+        json.dump(obj, fh, indent=indent, separators=separators, allow_nan=False)
         fh.write("\n")
 
 
 def _write_json_matrix(path: str | None, head: dict, values: np.ndarray) -> None:
     """``_write_json(path, {**head, "values": values})``, NaN as null, written
     one row at a time so that the matrix is never held as Python lists."""
-    text = json.dumps({**head, "values": []}, indent=2)
+    text = json.dumps({**head, "values": []}, indent=2, allow_nan=False)
     with _sink(path) as fh:
         fh.write(text[:-len("[]\n}")])
         for i, row in enumerate(values):
@@ -108,7 +108,7 @@ def _write_json_matrix(path: str | None, head: dict, values: np.ndarray) -> None
             if np.isnan(row).any():
                 cells = [None if math.isnan(x) else x for x in cells]
             fh.write(("," if i else "[") + "\n    "
-                     + json.dumps(cells, indent=2).replace("\n", "\n    "))
+                     + json.dumps(cells, indent=2, allow_nan=False).replace("\n", "\n    "))
         fh.write("\n  ]\n}\n" if len(values) else "[]\n}\n")
 
 
@@ -161,8 +161,8 @@ def _nominal_injection(net: Network) -> InjectionProfile:
     t = 0.0 if span <= 0.0 else (total_load - p_min) / span
     if t < -1e-12 or t > 1.0 + 1e-12 or (span <= 0.0 and abs(total_load - p_min) > 1e-9):
         raise InputError(
-            f"total load {total_load * net.base_mva:g} MW is outside the "
-            f"generation range [{p_min * net.base_mva:g}, {p_max * net.base_mva:g}] MW")
+            f"total load {total_load:g} MW is outside the "
+            f"generation range [{p_min:g}, {p_max:g}] MW")
     p = -np.array(net.load_vector)
     for g in net.generators:
         p[net.bus_index[g.bus]] += g.p_min + t * (g.p_max - g.p_min)
@@ -267,12 +267,10 @@ def _cmd_fix_flows(args) -> int:
         if lid in seen:
             raise InputError(f"line {lid} fixed more than once")
         seen.add(lid)
-    fixed = {lid: mw / net.base_mva for lid, mw in fixed_pairs}
-    res = solve_fixed_flows(net, inj, fixed)
+    res = solve_fixed_flows(net, inj, dict(fixed_pairs))
     flows = []
     if res.status == "unique":
-        flows = [(ln.id, float(res.flows[k] * net.base_mva))
-                 for k, ln in enumerate(net.lines_in_service)]
+        flows = [(ln.id, float(res.flows[k])) for k, ln in enumerate(net.lines_in_service)]
     if args.output == "json":
         payload: dict = {"status": res.status}
         if res.status == "unique":
@@ -468,7 +466,9 @@ def _cmd_cos_curve(args) -> int:
         _write_json(args.out, [
             {"count": pt.count,
              "pair": list(pt.pair) if pt.pair else None,
-             "cos_percent": pt.cos_percent, "cos_abs": pt.cos_abs}
+             # inf when C_OPF <= 0 and the CoS is not: JSON has no inf
+             "cos_percent": pt.cos_percent if math.isfinite(pt.cos_percent) else None,
+             "cos_abs": pt.cos_abs}
             for pt in curve.points])
         return 0
     _write_csv(args.out, [("count", "pair_m", "pair_n", "cos_percent", "cos_abs")]

@@ -102,13 +102,15 @@ def ptdf(net: Network) -> PtdfMatrix:
 
 @dataclass(frozen=True, eq=False)
 class InjectionProfile:
-    """Per-bus net injections (p.u., bus order).  Must sum to ~0."""
+    """Per-bus net injections (MW, bus order).  They must sum to 0 within
+    ``BALANCE_TOL`` relative to their total magnitude (at least 1 MW), so
+    that roundoff in a large case is not refused."""
 
     p: np.ndarray
 
     def __post_init__(self):
         p = np.asarray(self.p, dtype=float)
-        if abs(float(p.sum())) > BALANCE_TOL:
+        if abs(float(p.sum())) > BALANCE_TOL * max(1.0, float(np.abs(p).sum())):
             raise InputError(f"injections must balance to 0, sum = {p.sum():.3e}")
         object.__setattr__(self, "p", _frozen(p.copy()))
 
@@ -121,7 +123,7 @@ class InjectionProfile:
 
 
 def dc_flow(net: Network, inj: InjectionProfile) -> np.ndarray:
-    """Line flows (p.u., in-service line order) for a balanced injection."""
+    """Line flows (MW, in-service line order) for a balanced injection."""
     mat = ptdf(net)
     if inj.p.shape != (net.n_bus,):
         raise InputError(f"injection length {inj.p.shape[0]} != n_bus {net.n_bus}")
@@ -130,7 +132,7 @@ def dc_flow(net: Network, inj: InjectionProfile) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ControllabilityVector:
-    """Per-line flow response to +1 p.u. at bus m withdrawn at bus n."""
+    """Per-line flow response to +1 MW at bus m withdrawn at bus n."""
 
     m: int
     n: int
@@ -169,7 +171,7 @@ def cv(mat: PtdfMatrix, m: int, n: int) -> ControllabilityVector:
 
 def apply_hvdc(mat: PtdfMatrix, placements: list[tuple[int, int]],
                p_dc: np.ndarray) -> np.ndarray:
-    """AC flow change (p.u.) from HVDC setpoints on the given node pairs."""
+    """AC flow change (MW) from HVDC setpoints (MW) on the given node pairs."""
     p_dc = np.asarray(p_dc, dtype=float)
     if p_dc.shape != (len(placements),):
         raise InputError(f"{len(placements)} placements but {p_dc.shape} setpoints")
@@ -177,7 +179,8 @@ def apply_hvdc(mat: PtdfMatrix, placements: list[tuple[int, int]],
 
 
 def tcsc_sensitivity(net: Network, inj: InjectionProfile, line_id: int) -> np.ndarray:
-    """d(line flows)/d(reactance of ``line_id``), evaluated analytically.
+    """d(line flows)/d(reactance of ``line_id``), evaluated analytically, in
+    MW per p.u. of reactance for injections ``inj`` in MW.
 
     With theta = reduced-inverse(B_bus) @ p and w = theta_i - theta_j over the
     device line's terminals, the derivative collapses to

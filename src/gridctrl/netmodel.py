@@ -1,11 +1,10 @@
 """Network data model: case-file ingestion, validation, canonicalization.
 
-All power quantities on a :class:`Network` (line limits, loads, generator
-bounds) are stored in per-unit on ``base_mva``; reactances are per-unit as
-given in the source file.  Case files carry MW values: the parsers divide by
-``base_mva`` once on the way in and :func:`serialize_case` multiplies back on
-the way out.  Generator cost coefficients are rescaled so the polynomial
-takes per-unit power and still returns $/h.
+A :class:`Network` holds the case file's numbers as they are: line limits,
+loads and generator bounds in MW, generator costs in $/h for a dispatch in
+MW, reactances in per unit.  ``base_mva`` is read, checked and written back
+but enters no computation: PTDF, LODF and CV are dimensionless, and
+reactances enter them only as ratios.
 
 The parsers check syntax, types and numbers only; :func:`validate` alone
 judges a case's structure.  :func:`read_case` picks the format by file name.
@@ -51,7 +50,7 @@ class Bus:
 
 @dataclass(frozen=True)
 class Line:
-    """AC line. ``reactance`` in p.u., ``limit`` in p.u. (inf = unlimited)."""
+    """AC line. ``reactance`` in p.u., ``limit`` in MW (inf = unlimited)."""
 
     id: int
     from_bus: int
@@ -63,7 +62,7 @@ class Line:
 
 @dataclass(frozen=True)
 class Generator:
-    """``p_min``/``p_max`` in p.u.; ``cost`` = (c0, c1, c2) with p in p.u., $/h out."""
+    """``p_min``/``p_max`` in MW; ``cost`` = (c0, c1, c2) with p in MW, $/h out."""
 
     bus: int
     p_min: float
@@ -77,7 +76,7 @@ class Generator:
 
 @dataclass(frozen=True)
 class Load:
-    """Constant-power demand, ``p`` in p.u. on the system base."""
+    """Constant-power demand, ``p`` in MW."""
 
     bus: int
     p: float
@@ -137,7 +136,7 @@ class Network:
 
     @cached_property
     def load_vector(self) -> tuple[float, ...]:
-        """Per-bus demand in p.u., in bus order."""
+        """Per-bus demand in MW, in bus order."""
         acc = [0.0] * self.n_bus
         for ld in self.loads:
             acc[self.bus_index[ld.bus]] += ld.p
@@ -172,10 +171,6 @@ def connected_components(net: Network) -> list[set[int]]:
 def validate(net: Network) -> list[Violation]:
     """All structural checks on a case.  Returns a report; an empty list means valid."""
     out: list[Violation] = []
-
-    def mw(v: float) -> str:
-        return f"{v * net.base_mva:.12g} MW"
-
     seen_bus: set[int] = set()
     for b in net.buses:
         if b.id in seen_bus:
@@ -197,21 +192,21 @@ def validate(net: Network) -> list[Violation]:
         if not ln.reactance > 0.0:
             out.append(Violation("bad-reactance", f"line {ln.id} reactance must be > 0, got {ln.reactance}"))
         if not ln.limit > 0.0:
-            out.append(Violation("bad-limit",
-                                 f"line {ln.id} limit must be > 0 or unlimited, got {mw(ln.limit)}"))
+            out.append(Violation("bad-limit", f"line {ln.id} limit must be > 0 or unlimited, "
+                                              f"got {ln.limit:.12g} MW"))
     for i, g in enumerate(net.generators):
         if g.bus not in seen_bus:
             out.append(Violation("dangling-bus", f"generator {i} references missing bus {g.bus}"))
         if g.p_min > g.p_max:
-            out.append(Violation("gen-bounds",
-                                 f"generator {i} has p_min {mw(g.p_min)} > p_max {mw(g.p_max)}"))
+            out.append(Violation("gen-bounds", f"generator {i} has p_min {g.p_min:.12g} MW "
+                                               f"> p_max {g.p_max:.12g} MW"))
         if g.cost[2] < 0.0:
             out.append(Violation("nonconvex-cost", f"generator {i} has negative quadratic cost coefficient"))
     for i, ld in enumerate(net.loads):
         if ld.bus not in seen_bus:
             out.append(Violation("dangling-bus", f"load {i} references missing bus {ld.bus}"))
         if ld.p < 0.0:
-            out.append(Violation("negative-load", f"load {i} has negative demand {mw(ld.p)}"))
+            out.append(Violation("negative-load", f"load {i} has negative demand {ld.p:.12g} MW"))
     if net.buses and not any(v.code == "dangling-bus" for v in out):
         comps = connected_components(net)
         if len(comps) > 1:
@@ -333,7 +328,7 @@ def _parse_native(text: str) -> Network:
         if raw_limit == "unlimited":
             limit = UNLIMITED
         elif isinstance(raw_limit, (int, float)) and not isinstance(raw_limit, bool):
-            limit = _per_unit(_finite(raw_limit, f"{where}: limit"), base, f"{where}: limit")
+            limit = _finite(raw_limit, f"{where}: limit")
         else:
             raise CaseFormatError(f"{where}: limit must be a number or \"unlimited\"")
         lines.append(Line(
@@ -355,57 +350,22 @@ def _parse_native(text: str) -> Network:
         c += [0.0] * (3 - len(c))
         gens.append(Generator(
             bus=_req(g, "bus", int, where),
-            p_min=_per_unit(_req(g, "p_min", float, where), base, f"{where}: key 'p_min'"),
-            p_max=_per_unit(_req(g, "p_max", float, where), base, f"{where}: key 'p_max'"),
-            cost=(c[0], _per_unit(c[1], base, f"{where}: cost[1]", -1),
-                  _per_unit(c[2], base, f"{where}: cost[2]", -2)),
+            p_min=_req(g, "p_min", float, where),
+            p_max=_req(g, "p_max", float, where),
+            cost=tuple(c),
         ))
 
-    loads = [Load(bus=_req(d, "bus", int, where),
-                  p=_per_unit(_req(d, "p", float, where), base, f"{where}: key 'p'"))
+    loads = [Load(bus=_req(d, "bus", int, where), p=_req(d, "p", float, where))
              for where, d in _entries(doc, "loads")]
     return Network(buses=tuple(buses), lines=tuple(lines),
                    generators=tuple(gens), loads=tuple(loads), base_mva=base)
 
 
-def _per_unit(value: float, base: float, what: str, mw_power: int = 1) -> float:
-    """A finite case-file number in per unit on ``base``: a MW quantity
-    (``mw_power`` 1) is divided by it, a cost coefficient per MW or per MW²
-    (``mw_power`` -1 or -2) multiplied by it once or twice.  ``what`` names
-    the key or file row when the result overflows."""
-    pu = value / base if mw_power == 1 else value
-    for _ in range(-mw_power):
-        pu *= base
-    if not math.isfinite(pu):
-        raise CaseFormatError(f"{what} in per unit must be a finite number (base_mva {base!r})")
-    return pu
-
-
-def _file_number(value: float, guess: float, to_pu) -> float:
-    """The file number that the increasing unit conversion ``to_pu`` reads
-    back as exactly ``value``: ``guess``, the plain inverse, stepped by the
-    few ulps that rounding can put it off."""
-    for _ in range(8):
-        got = to_pu(guess)
-        if got == value:
-            break
-        guess = math.nextafter(guess, math.inf if got < value else -math.inf)
-    return guess
-
-
 def serialize_case(net: Network) -> str:
-    """Emit the native JSON format (MW quantities), LF line endings.
-
-    Every number is chosen so that :func:`parse_case` gives back the same
-    per-unit value, bit for bit.
-    """
-    base = net.base_mva
-
-    def mw(v: float) -> float:
-        return _file_number(v, v * base, lambda f: f / base)
-
+    """Emit the native JSON format, LF line endings.  :func:`parse_case`
+    reads it back as the same network, bit for bit."""
     doc: dict = {
-        "base_mva": base,
+        "base_mva": net.base_mva,
         "buses": [
             {"id": b.id, "is_slack": b.is_slack} for b in net.buses
         ],
@@ -413,21 +373,16 @@ def serialize_case(net: Network) -> str:
             {
                 "id": ln.id, "from_bus": ln.from_bus, "to_bus": ln.to_bus,
                 "reactance": ln.reactance,
-                "limit": "unlimited" if math.isinf(ln.limit) else mw(ln.limit),
+                "limit": "unlimited" if math.isinf(ln.limit) else ln.limit,
                 "in_service": ln.in_service,
             }
             for ln in net.lines
         ],
         "generators": [
-            {
-                "bus": g.bus, "p_min": mw(g.p_min), "p_max": mw(g.p_max),
-                "cost": [g.cost[0], _file_number(g.cost[1], g.cost[1] / base, lambda c: c * base),
-                         _file_number(g.cost[2], g.cost[2] / base / base,
-                                      lambda c: c * base * base)],
-            }
+            {"bus": g.bus, "p_min": g.p_min, "p_max": g.p_max, "cost": list(g.cost)}
             for g in net.generators
         ],
-        "loads": [{"bus": d.bus, "p": mw(d.p)} for d in net.loads],
+        "loads": [{"bus": d.bus, "p": d.p} for d in net.loads],
     }
     return json.dumps(doc, indent=2) + "\n"
 
@@ -552,7 +507,7 @@ def _parse_matpower(text: str) -> Network:
             raise CaseFormatError(f"bus row {i + 1}: unsupported bus type {bus_type}")
         buses.append(Bus(id=bus_id, is_slack=bus_type == 3))
         if pd != 0.0:
-            loads.append(Load(bus=bus_id, p=_per_unit(pd, base, f"bus row {i + 1}: load")))
+            loads.append(Load(bus=bus_id, p=pd))
 
     lines: list[Line] = []
     for i, row in enumerate(tables["branch"]):
@@ -569,8 +524,7 @@ def _parse_matpower(text: str) -> Network:
             from_bus=_whole(row[0], "branch", i, "from bus"),
             to_bus=_whole(row[1], "branch", i, "to bus"),
             reactance=row[3],
-            limit=(UNLIMITED if rate_a == 0.0
-                   else _per_unit(rate_a, base, f"branch row {i + 1}: limit")),
+            limit=UNLIMITED if rate_a == 0.0 else rate_a,
             in_service=row[10] != 0.0,
         ))
 
@@ -601,10 +555,9 @@ def _parse_matpower(text: str) -> Network:
             continue
         gens.append(Generator(
             bus=_whole(row[0], "gen", i, "bus"),
-            p_min=_per_unit(row[9], base, f"gen row {i + 1}: p_min"),
-            p_max=_per_unit(row[8], base, f"gen row {i + 1}: p_max"),
-            cost=(c0, _per_unit(c1, base, f"gencost row {i + 1}: c1", -1),
-                  _per_unit(c2, base, f"gencost row {i + 1}: c2", -2)),
+            p_min=row[9],
+            p_max=row[8],
+            cost=(c0, c1, c2),
         ))
 
     return Network(buses=tuple(buses), lines=tuple(lines),

@@ -102,7 +102,6 @@ def _solve(net: Network, placements: list[tuple[int, int]], p_dc_max: float,
     line_ids = tuple(ln.id for ln in net.lines_in_service)
     load = np.array(net.load_vector)
     gens = net.generators
-    dc_bound = p_dc_max / net.base_mva
 
     seg_slots = [(gi, width, slope)                   # (gen index, width, slope)
                  for gi, g in enumerate(gens) for width, slope in _gen_segments(g, n_segments)]
@@ -154,8 +153,8 @@ def _solve(net: Network, placements: list[tuple[int, int]], p_dc_max: float,
     cost = np.zeros(n_vars)
     upper[:n_seg] = [width for _gi, width, _sl in seg_slots]
     cost[:n_seg] = [slope for _gi, _w, slope in seg_slots]
-    lower[n_seg:n_core] = -dc_bound
-    upper[n_seg:n_core] = dc_bound
+    lower[n_seg:n_core] = -p_dc_max
+    upper[n_seg:n_core] = p_dc_max
     upper[n_core:] = 2.0 * lims
 
     res = solve_lp(LpProblem.build(cost, a, b, lower, upper))
@@ -170,13 +169,12 @@ def _solve(net: Network, placements: list[tuple[int, int]], p_dc_max: float,
         p_gen[gi] += x[s]
     flows = coefs[0] @ x[:n_core] + offsets[0]
     total_cost = float(res.objective) + sum(g.cost_at(g.p_min) for g in gens)
-    scale = net.base_mva
-    setpoints = [tuple(x[dc:dc + n_dc] * scale) for dc in dc_starts]
+    setpoints = [tuple(x[dc:dc + n_dc]) for dc in dc_starts]
     return OpfSolution(
         status="optimal",
         cost=total_cost,
-        dispatch=Dispatch(p_gen=tuple(p * scale for p in p_gen)),
-        flows=tuple(f * scale for f in flows),
+        dispatch=Dispatch(p_gen=tuple(p_gen)),
+        flows=tuple(flows),
         line_ids=line_ids,
         hvdc_base=setpoints[0],
         hvdc_contingency=(dict(zip(contingencies, setpoints[1:]))

@@ -80,7 +80,7 @@ class DeltaStrategy:
                 if math.isinf(ln.limit):
                     raise InputError(
                         f"line {lid} has no limit; the {OF_LIMIT} strategy needs one")
-                out[i] = self.param * ln.limit * net.base_mva
+                out[i] = self.param * ln.limit
             else:
                 out[i] = self.param * ln.reactance
         return out

@@ -14,7 +14,7 @@ from gridctrl.netmodel import Network
 
 
 def angle_flows(net: Network, p) -> np.ndarray:
-    """Branch flows (p.u.) from a direct angle solve.
+    """Branch flows (MW for injections ``p`` in MW) from a direct angle solve.
 
     Assembles the weighted Laplacian entry by entry, pins the slack angle
     at zero, solves for the remaining angles and differences across each
@@ -41,7 +41,7 @@ def angle_flows(net: Network, p) -> np.ndarray:
 
 
 def unit_pair(net: Network, m: int, n: int) -> np.ndarray:
-    """Injection vector: +1 p.u. in at bus m, -1 p.u. out at bus n."""
+    """Injection vector: +1 MW in at bus m, -1 MW out at bus n."""
     p = np.zeros(net.n_bus)
     p[net.bus_index[m]] += 1.0
     p[net.bus_index[n]] -= 1.0
@@ -79,7 +79,7 @@ def congested3() -> Network:
 CRITERIA = {
     1: "controller-count bounds on the 10-bus fixture are 5 series / 9 parallel",
     2: "PTDF rank equals n_bus - 1 on every bundled case",
-    3: "controllability vectors match +-1 MW re-solve deltas to 1e-9 p.u.",
+    3: "controllability vectors match +-1 MW re-solve deltas to 1e-9 MW",
     4: "series-device sensitivities match finite differences to 1e-4 relative",
     5: "LP placement solves exactly C(45,1)*C(14,k) programs within the time box",
     6: "a duplicated controller pair makes every two-target program infeasible",

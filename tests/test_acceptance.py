@@ -55,10 +55,9 @@ def test_c03_cv_superposition_oracle():
     for name in ALL_CASES:
         net = load_case(name)
         mat = ptdf(net)
-        mw = 1.0 / net.base_mva
         for m, n in _pairs(mat.bus_ids):
-            predicted = cv(mat, m, n).values * mw
-            resolved = angle_flows(net, unit_pair(net, m, n) * mw)
+            predicted = cv(mat, m, n).values
+            resolved = angle_flows(net, unit_pair(net, m, n))
             assert np.max(np.abs(predicted - resolved)) <= 1e-9, (name, m, n)
     assert time.perf_counter() - t0 < 5.0
 

@@ -507,6 +507,102 @@ def test_fix_flows_load_outside_generation_range(capsys, short_case):
     assert "outside the generation range" in err
 
 
+def _scaled_case(tmp_path, name, scale):
+    """A bundled case with every MW value (loads, generator bounds, limits)
+    times ``scale``; costs as they are."""
+    net = load_case(name)
+    path = tmp_path / f"{name}_x{scale:g}.json"
+    path.write_text(serialize_case(replace(
+        net,
+        lines=tuple(replace(ln, limit=ln.limit * scale) for ln in net.lines),
+        generators=tuple(replace(g, p_min=g.p_min * scale, p_max=g.p_max * scale)
+                         for g in net.generators),
+        loads=tuple(replace(ld, p=ld.p * scale) for ld in net.loads))))
+    return str(path)
+
+
+def _spanning_pins(scale):
+    pins = {1: 40.0, 3: -20.0, 5: 10.0, 12: 0.0, 14: 30.0}
+    return [arg for lid, mw in pins.items() for arg in ("--fix", f"{lid}={mw * scale!r}")]
+
+
+@pytest.mark.parametrize("scale", [1e6, 1e9, 1e12])
+def test_fix_flows_balances_a_case_of_any_scale(capsys, tmp_path, scale):
+    """Roundoff in the injections of a large case is not an unbalance: the
+    flows scale with the case."""
+    path = _scaled_case(tmp_path, "fixture10", scale)
+    code, out, err = cli(capsys, "fix-flows", path)
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"status": "underdetermined", "freedom": 5}
+    code, out, err = cli(capsys, "fix-flows", path, *_spanning_pins(scale))
+    assert (code, err) == (0, "")
+    flows = [row["flow_mw"] for row in json.loads(out)["flows"]]
+    _code, out, _err = cli(capsys, "fix-flows", FIXTURE10, *_spanning_pins(1.0))
+    unit = [row["flow_mw"] * scale for row in json.loads(out)["flows"]]
+    np.testing.assert_allclose(flows, unit, rtol=1e-9, atol=1e-9 * scale)
+
+
+@pytest.mark.parametrize("scale", [1e6, 1e9, 1e12])
+def test_fix_flows_inconsistent_at_any_scale(capsys, tmp_path, scale):
+    """Pins that break node balance are inconsistent however large the case."""
+    code, out, _err = cli(capsys, "fix-flows", _scaled_case(tmp_path, "congested3", scale),
+                          "--fix", "1=0", "--fix", "2=0")
+    assert code == 0
+    assert json.loads(out) == {"status": "inconsistent"}
+
+
+def _at_base(tmp_path, name, base, bad_limit=False):
+    """A bundled case file with ``base_mva`` set to ``base``; case14 gets a
+    100 MW limit on every line so that its LPs have limit rows.  With
+    ``bad_limit`` the first line's limit is -5 MW."""
+    limit = -5.0 if bad_limit else 100.0     # the first line's
+    text = case_path(name).read_text()
+    if name == "fixture10":
+        doc = json.loads(text)
+        doc["base_mva"] = base
+        if bad_limit:
+            doc["lines"][0]["limit"] = limit
+        text = json.dumps(doc)
+    else:
+        rows, branch = [], False
+        for row in text.splitlines():
+            if row.startswith("mpc.baseMVA"):
+                row = f"mpc.baseMVA = {base!r};"
+            elif row.startswith(("mpc.branch", "]")):
+                branch = row.startswith("mpc.branch")
+            elif branch:                        # rate_a is the sixth column
+                cells = row.split()
+                cells[5] = repr(limit)
+                row = "  ".join(cells)
+                limit = 100.0
+            rows.append(row)
+        text = "\n".join(rows) + "\n"
+    path = tmp_path / f"{base!r}_{bad_limit}_{case_path(name).name}"
+    path.write_text(text)
+    return str(path)
+
+
+BASE_INVARIANT = [("opf",), ("sc-opf", "--place", "1,8"),
+                  ("sc-opf", "--mode", "corrective", "--place", "1,8"),
+                  ("cos-curve", "--max", "1", "--output", "json"),
+                  ("place-lp", "--count", "2", "--strategy", "limit", "--output", "json")]
+
+
+@pytest.mark.parametrize("name", ["fixture10", "case14"])
+def test_base_mva_changes_no_byte(capsys, tmp_path, name):
+    """base_mva only names the per-unit system of the reactances: every
+    output byte is the same at any base."""
+    runs = {}
+    for base in (1.0, 100.0, 137.0, 1e4):
+        runs[base] = [cli(capsys, argv[0], _at_base(tmp_path, name, base), *argv[1:])
+                      for argv in BASE_INVARIANT]
+        runs[base].append(cli(capsys, "validate", _at_base(tmp_path, name, base, True)))
+    assert all(code == 0 for code, _out, _err in runs[1.0][:-1])
+    assert runs[1.0][-1][0] == 2 and "got -5 MW" in runs[1.0][-1][1]
+    for base, got in runs.items():
+        assert got == runs[1.0], base
+
+
 # ---------------------------------------------------------------------------
 # placement
 
@@ -707,6 +803,27 @@ def test_cos_curve_csv_and_dat(capsys, tmp_path):
     assert dat_lines[0] == "# controllers cos_percent"
     assert dat_lines[1].startswith("0 46.316")
     assert dat_lines[2].startswith("1 1.7499")
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_cos_curve_json_has_no_infinity(capsys, tmp_path):
+    """With C_OPF <= 0 a nonzero CoS has no finite percentage: JSON prints
+    null, the CSV inf."""
+    net = load_case("fixture10")
+    path = tmp_path / "negative_c0.json"
+    path.write_text(serialize_case(replace(net, generators=tuple(
+        replace(g, cost=(-1e6, *g.cost[1:])) for g in net.generators))))
+    code, out, err = cli(capsys, "cos-curve", str(path), "--max", "1", "--output", "json")
+    assert (code, err) == (0, "")
+    points = json.loads(out, parse_constant=_no_constant)
+    assert [pt["cos_percent"] for pt in points] == [None, None]
+    assert all(pt["cos_abs"] > 0.0 for pt in points)
+    code, out, _err = cli(capsys, "cos-curve", str(path), "--max", "1")
+    assert code == 0
+    assert [row.split(",")[3] for row in out.splitlines()[1:]] == ["inf", "inf"]
 
 
 def test_cos_curve_infeasible_case(capsys):

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import angle_flows, unit_pair, without_line
 from gridctrl.dcsens import (
+    BALANCE_TOL,
     DisconnectedNetworkError,
     InjectionProfile,
     apply_hvdc,
@@ -128,6 +129,19 @@ def test_bus_column_unknown(fixture10):
 def test_injection_must_balance():
     with pytest.raises(ValueError, match="balance"):
         InjectionProfile(np.array([1.0, 0.0, -0.5]))
+
+
+def test_injection_balance_is_relative_to_its_magnitude():
+    """Roundoff in a profile of 1e9 MW injections balances; a real unbalance,
+    at that scale or at 1 MW, does not."""
+    p = np.random.default_rng(5).normal(size=10) * 1e9
+    p -= p.mean()
+    assert abs(p.sum()) > BALANCE_TOL           # an absolute bound would refuse it
+    assert InjectionProfile(p).p.sum() == p.sum()
+    for unbalanced in (p + np.eye(10)[3] * 1e-6 * np.abs(p).sum(),
+                       np.array([3e-9, 0.0, 0.0])):
+        with pytest.raises(InputError, match="injections must balance"):
+            InjectionProfile(unbalanced)
 
 
 def test_injection_from_pairs(fixture10):
@@ -316,12 +330,12 @@ def test_bridges_disconnected_raises():
 
 
 @st.composite
-def multigraphs(draw, log_x=(-6.0, 4.0)):
-    """A connected multigraph: a random spanning tree in random orientation,
-    extra lines that may run parallel to others, some extra lines out of
-    service, reactances from 10**log_x[0] to 10**log_x[1] and a random
-    slack bus."""
-    n = draw(st.integers(2, 9))
+def multigraphs(draw, log_x=(-6.0, 4.0), n_bus=(2, 9)):
+    """A connected multigraph of n_bus[0] to n_bus[1] buses: a random
+    spanning tree in random orientation, extra lines that may run parallel to
+    others, some extra lines out of service, reactances from 10**log_x[0] to
+    10**log_x[1] and a random slack bus."""
+    n = draw(st.integers(*n_bus))
     slack = draw(st.integers(1, n))
     ends = [(draw(st.integers(1, b - 1)), b) for b in range(2, n + 1)]
     ends += draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n))

@@ -49,7 +49,7 @@ def test_bundled_counts(triangle3, fixture10, case14, congested3):
     assert (case14.n_bus, case14.n_line, case14.slack_id) == (14, 20, 1)
     assert (congested3.n_bus, congested3.n_line) == (3, 3)
     assert len(fixture10.generators) == 3
-    assert sum(fixture10.load_vector) == pytest.approx(5.5)
+    assert sum(fixture10.load_vector) == pytest.approx(550.0)
 
 
 def test_native_defaults():
@@ -60,20 +60,22 @@ def test_native_defaults():
 
 
 def test_native_mw_scaling():
-    doc = dict(MINIMAL)
+    """MW and $/h values are stored as read, whatever base_mva says."""
+    doc = dict(MINIMAL, base_mva=137.0)
     doc["lines"] = [{"id": 1, "from_bus": 1, "to_bus": 2,
                      "reactance": 0.1, "limit": 190.0}]
     doc["generators"] = [{"bus": 1, "p_min": 0.0, "p_max": 400.0,
                           "cost": [5.0, 12.0, 0.1]}]
     doc["loads"] = [{"bus": 2, "p": 60.0}]
     net = native(doc)
-    assert net.lines[0].limit == pytest.approx(1.9)
+    assert net.lines[0].limit == 190.0
+    assert net.lines[0].reactance == 0.1
     g = net.generators[0]
-    assert g.p_max == pytest.approx(4.0)
-    # cost keeps $/h: c1 in $/p.u.h, c2 in $/p.u.^2 h
-    assert g.cost == pytest.approx((5.0, 1200.0, 1000.0))
-    assert g.cost_at(4.0) == pytest.approx(5.0 + 12.0 * 400 + 0.1 * 400**2)
-    assert net.loads[0].p == pytest.approx(0.6)
+    assert (g.p_min, g.p_max) == (0.0, 400.0)
+    assert g.cost == (5.0, 12.0, 0.1)
+    assert g.cost_at(400.0) == pytest.approx(5.0 + 12.0 * 400 + 0.1 * 400**2)
+    assert net.loads[0].p == 60.0
+    assert net.base_mva == 137.0
 
 
 def test_native_short_cost_forms():
@@ -82,7 +84,7 @@ def test_native_short_cost_forms():
                          {"bus": 2, "p_min": 0.0, "p_max": 100.0, "cost": [0.0, 30.0]}]
     net = native(doc)
     assert net.generators[0].cost == (7.0, 0.0, 0.0)
-    assert net.generators[1].cost == (0.0, 3000.0, 0.0)
+    assert net.generators[1].cost == (0.0, 30.0, 0.0)
 
 
 @pytest.mark.parametrize("mutate,fragment", [
@@ -102,15 +104,6 @@ def test_native_short_cost_forms():
     (lambda d: d.update(generators=[{"bus": 1, "p_min": 0.0, "p_max": 1.0,
                                      "cost": [0, -10 ** 400]}]),
      "generators[0]: cost[1] must be a finite number"),
-    (lambda d: (d.update(base_mva=1e-300), d["lines"][0].update(limit=1e10)),
-     "lines[0]: limit in per unit must be a finite number"),
-    (lambda d: d.update(base_mva=1e300, generators=[{"bus": 1, "p_min": 0.0, "p_max": 1.0,
-                                                     "cost": [0, 0, 1.0]}]),
-     "generators[0]: cost[2] in per unit must be a finite number (base_mva 1e+300)"),
-    (lambda d: d.update(base_mva=1e-300, loads=[{"bus": 2, "p": 1e10}]),
-     "loads[0]: key 'p' in per unit must be a finite number"),
-    (lambda d: d.update(base_mva=1e-300, generators=[{"bus": 1, "p_min": 0.0, "p_max": 1e10}]),
-     "generators[0]: key 'p_max' in per unit must be a finite number"),
     (lambda d: d["buses"][1].update(is_slack="no"),
      "buses[1]: key 'is_slack' must be true or false, got str"),
     (lambda d: d["buses"][0].update(is_slack=1),
@@ -125,6 +118,27 @@ def test_native_rejects(mutate, fragment):
     mutate(doc)
     with pytest.raises(CaseFormatError, match=re.escape(fragment)):
         native(doc)
+
+
+@pytest.mark.parametrize("mutate,get,value", [
+    (lambda d: (d.update(base_mva=1e-300), d["lines"][0].update(limit=1e10)),
+     lambda net: net.lines[0].limit, 1e10),
+    (lambda d: d.update(base_mva=1e300, generators=[{"bus": 1, "p_min": 0.0, "p_max": 1.0,
+                                                     "cost": [0, 0, 1.0]}]),
+     lambda net: net.generators[0].cost, (0.0, 0.0, 1.0)),
+    (lambda d: d.update(base_mva=1e-300, loads=[{"bus": 2, "p": 1e10}]),
+     lambda net: net.loads[0].p, 1e10),
+    (lambda d: d.update(base_mva=1e-300, generators=[{"bus": 1, "p_min": 0.0, "p_max": 1e10}]),
+     lambda net: net.generators[0].p_max, 1e10),
+], ids=["limit-at-base-1e-300", "cost-at-base-1e300", "load-at-base-1e-300",
+        "p_max-at-base-1e-300"])
+def test_native_keeps_mw_at_extreme_base(mutate, get, value):
+    """A base_mva far from the MW values scales nothing, so nothing overflows."""
+    doc = json.loads(json.dumps(MINIMAL))
+    mutate(doc)
+    net = native(doc)
+    assert get(net) == value
+    assert parse_case(serialize_case(net)) == net
 
 
 @pytest.mark.parametrize("text,fragment,col", [
@@ -206,7 +220,7 @@ def parsed_networks(draw):
 @settings(max_examples=300, deadline=None)
 @given(net=parsed_networks())
 def test_roundtrip_generated(net):
-    """Bit-exact, although the parsers scale quadratic costs by base_mva twice."""
+    """Bit-exact for any finite numbers and any base_mva."""
     assert parse_case(serialize_case(net)) == net
 
 
@@ -403,12 +417,12 @@ def test_matpower_basics():
     ln = net.lines[0]
     assert (ln.from_bus, ln.to_bus, ln.id) == (1, 2, 1)
     assert ln.reactance == pytest.approx(0.05)
-    assert ln.limit == pytest.approx(2.5)
-    assert net.loads == (Load(bus=2, p=0.405),)
+    assert ln.limit == 250.0
+    assert net.loads == (Load(bus=2, p=40.5),)
     g = net.generators[0]
-    assert (g.p_min, g.p_max) == (0.1, 1.2)
-    assert g.cost == pytest.approx((600.0, 1400.0, 200.0))
-    assert g.cost_at(1.2) == pytest.approx(600 + 14 * 120 + 0.02 * 120**2)
+    assert (g.p_min, g.p_max) == (10.0, 120.0)
+    assert g.cost == (600.0, 14.0, 0.02)
+    assert g.cost_at(120.0) == pytest.approx(600 + 14 * 120 + 0.02 * 120**2)
 
 
 def test_matpower_zero_rate_is_unlimited():
@@ -465,12 +479,6 @@ def test_matpower_comments_and_inline_rows():
     (lambda t: t.replace("0.05", "-Infinity"), "not a finite number: '-Infinity'", 9),
     (lambda t: t.replace("baseMVA = 100", "baseMVA = NaN"), "baseMVA must be a finite number", 3),
     (lambda t: t.replace("baseMVA = 100", "baseMVA = 1e999"), "got '1e999'", 3),
-    (lambda t: t.replace("baseMVA = 100", "baseMVA = 1e-300").replace(" 250 ", " 1e10 "),
-     "branch row 1: limit in per unit must be a finite", None),
-    (lambda t: t.replace("baseMVA = 100", "baseMVA = 1e-300").replace(" 40.5 ", " 1e10 "),
-     "bus row 2: load in per unit must be a finite", None),
-    (lambda t: t.replace("baseMVA = 100", "baseMVA = 1e300"),
-     r"gencost row 1: c2 in per unit must be a finite number \(base_mva 1e\+300\)", None),
     (lambda t: t.replace("  1 3 0 ", "  1.5 3 0 "), "bus row 1: bus id must be an integer, got 1.5",
      None),
     (lambda t: t.replace("  2 1 40.5", "  2 1.5 40.5"),
@@ -498,6 +506,20 @@ def test_matpower_rejects(mutate, fragment, lineno):
         assert info.value.line == lineno
 
 
+@pytest.mark.parametrize("mutate,get,value", [
+    (lambda t: t.replace("baseMVA = 100", "baseMVA = 1e-300").replace(" 250 ", " 1e10 "),
+     lambda net: net.lines[0].limit, 1e10),
+    (lambda t: t.replace("baseMVA = 100", "baseMVA = 1e-300").replace(" 40.5 ", " 1e10 "),
+     lambda net: net.loads[0].p, 1e10),
+    (lambda t: t.replace("baseMVA = 100", "baseMVA = 1e300"),
+     lambda net: net.generators[0].cost, (600.0, 14.0, 0.02)),
+], ids=["limit-at-base-1e-300", "load-at-base-1e-300", "cost-at-base-1e300"])
+def test_matpower_keeps_mw_at_extreme_base(mutate, get, value):
+    net = parse_case(mutate(MP_OK), MATPOWER_SUBSET)
+    assert get(net) == value
+    assert parse_case(serialize_case(net)) == net
+
+
 def test_matpower_gencost_row_mismatch():
     text = MP_OK + "\n"
     text = text.replace("mpc.gencost = [\n  2 0 0 3 0.02 14 600;\n];",
@@ -510,7 +532,7 @@ def test_matpower_gencost_row_mismatch():
 def test_case14_gen_and_cost(case14):
     g = case14.generators[0]
     assert g.bus == 1
-    assert g.p_max == pytest.approx(3.324)
-    assert g.cost == pytest.approx((0.0, 2000.0, 430.293))
+    assert g.p_max == 332.4
+    assert g.cost == (0.0, 20.0, 0.0430293)
     assert len(case14.generators) == 5
-    assert sum(case14.load_vector) == pytest.approx(2.59)
+    assert sum(case14.load_vector) == pytest.approx(259.0)

@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from conftest import angle_flows, unit_pair, without_line
@@ -20,6 +22,7 @@ from gridctrl.opf import (
     default_contingencies,
     sc_opf,
 )
+from test_dcsens import multigraphs
 
 
 def brute_force_dispatch(net, contingencies=(), grid=121):
@@ -76,8 +79,8 @@ def test_single_bus_trivial():
     net = Network(
         buses=(Bus(1, True), Bus(2)),
         lines=(Line(1, 1, 2, 0.1),),
-        generators=(Generator(1, 0.0, 2.0, cost=(0.0, 1000.0, 0.0)),),
-        loads=(Load(2, 1.2),),
+        generators=(Generator(1, 0.0, 200.0, cost=(0.0, 10.0, 0.0)),),
+        loads=(Load(2, 120.0),),
     )
     sol = dc_opf(net)
     assert sol.status == "optimal"
@@ -112,10 +115,10 @@ def test_flows_are_physical(fixture10):
     sol = dc_opf(fixture10)
     inj = -np.array(fixture10.load_vector)
     for g, p in zip(fixture10.generators, sol.dispatch.p_gen):
-        inj[fixture10.bus_index[g.bus]] += p / fixture10.base_mva
-    oracle = angle_flows(fixture10, inj) * fixture10.base_mva
+        inj[fixture10.bus_index[g.bus]] += p
+    oracle = angle_flows(fixture10, inj)
     np.testing.assert_allclose(sol.flows, oracle, atol=1e-6)
-    limits = [ln.limit * fixture10.base_mva for ln in fixture10.lines_in_service]
+    limits = [ln.limit for ln in fixture10.lines_in_service]
     assert all(abs(f) <= lim + 1e-6 for f, lim in zip(sol.flows, limits))
 
 
@@ -208,7 +211,7 @@ def test_preventive_dispatch_survives_every_outage(fixture10):
     assert sol.status == "optimal"
     inj = -np.array(fixture10.load_vector)
     for g, p in zip(fixture10.generators, sol.dispatch.p_gen):
-        inj[fixture10.bus_index[g.bus]] += p / fixture10.base_mva
+        inj[fixture10.bus_index[g.bus]] += p
     for cid in default_contingencies(fixture10):
         reduced = Network(
             buses=fixture10.buses,
@@ -331,7 +334,7 @@ PLACEMENTS = {"triangle3": [(1, 3), (2, 3)], "congested3": [(1, 2), (2, 3)],
 
 def _states(net, contingencies):
     """(network, line limits, flow per unit injection at each bus) for the
-    intact grid and then each outage, from direct angle solves (p.u.)."""
+    intact grid and then each outage, from direct angle solves (MW)."""
     for state in [net] + [without_line(net, cid) for cid in contingencies]:
         by_bus = np.column_stack([angle_flows(state, np.eye(net.n_bus)[k])
                                   for k in range(net.n_bus)])
@@ -374,7 +377,7 @@ def highs_opf(net, placements, p_dc_max, contingencies, corrective):
         finite = np.isfinite(limits)
         rows += [coef[finite], -coef[finite]]
         rhs += [limits[finite] - off[finite], limits[finite] + off[finite]]
-    cap = p_dc_max / net.base_mva
+    cap = p_dc_max
     if n == 0:                        # nothing to dispatch: balanced and within limits?
         ok = abs(sum(net.load_vector) - sum(g.p_min for g in gens)) <= 1e-9 and all(
             np.all(r >= 0.0) for r in rhs)
@@ -395,8 +398,7 @@ def highs_opf(net, placements, p_dc_max, contingencies, corrective):
 def assert_point_feasible(net, sol, p_dc_max, contingencies, placements):
     """The printed dispatch and setpoints keep every flow within its limit."""
     tol = 1e-6
-    scale = net.base_mva
-    p_gen = np.array(sol.dispatch.p_gen) / scale
+    p_gen = np.array(sol.dispatch.p_gen)
     for g, p in zip(net.generators, p_gen):
         assert g.p_min - tol <= p <= g.p_max + tol
     assert p_gen.sum() == pytest.approx(sum(net.load_vector), abs=tol)
@@ -409,12 +411,12 @@ def assert_point_feasible(net, sol, p_dc_max, contingencies, placements):
         assert len(block) == len(placements)
         assert all(abs(p) <= p_dc_max * (1 + tol) for p in block)
     for s, (state, limits, _by_bus) in enumerate(_states(net, contingencies)):
-        flow_inj = inj + sum((p / scale * unit_pair(net, m, k)
+        flow_inj = inj + sum((p * unit_pair(net, m, k)
                               for p, (m, k) in zip(blocks[s], placements)),
                              np.zeros(net.n_bus))
         flows = angle_flows(state, flow_inj)
         if s == 0:
-            np.testing.assert_allclose(np.array(sol.flows) / scale, flows, atol=tol)
+            np.testing.assert_allclose(sol.flows, flows, atol=tol)
         assert np.all(np.abs(flows) <= limits + tol), f"state {s}"
 
 
@@ -443,3 +445,67 @@ def test_opf_agrees_with_highs(name, mode, flip):
             if status == "optimal":
                 assert abs(sol.cost - cost) <= 1e-7 * (1 + abs(cost)), (placements, cap)
                 assert_point_feasible(net, sol, cap, conts, placements)
+
+
+@st.composite
+def opf_instances(draw):
+    """(network, placements, cap, contingencies, mode) on a drawn connected
+    grid of 3-12 buses whose reactances span 1e4, so some lines are
+    near-bridges.  Degenerate on purpose: generators share marginal costs,
+    and some limits sit exactly at the flow of the optimum without limits.
+    At most four outages keep each LP small."""
+    grid = draw(multigraphs(log_x=(-2.0, 2.0), n_bus=(3, 12)))
+    buses = st.integers(1, grid.n_bus)
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        p_max = draw(st.floats(20.0, 400.0))
+        p_min = draw(st.sampled_from([0.0, 0.0, 0.25 * p_max]))
+        c1 = draw(st.sampled_from([10.0, 20.0, 20.0, 35.0]))
+        c2 = draw(st.sampled_from([0.0, 0.0, 0.02, 0.1]))
+        gens.append(Generator(draw(buses), p_min, p_max, cost=(0.0, c1, c2)))
+    lo, hi = sum(g.p_min for g in gens), sum(g.p_max for g in gens)
+    shares = draw(st.lists(st.floats(0.1, 1.0), min_size=1, max_size=4))
+    total = lo + draw(st.floats(0.05, 0.95)) * (hi - lo)
+    loads = tuple(Load(draw(buses), total * w / sum(shares)) for w in shares)
+    net = replace(grid, generators=tuple(gens), loads=loads,
+                  base_mva=draw(st.sampled_from([1.0, 100.0, 137.0, 1e4])))
+    free = dc_opf(net)
+    flows = dict(zip(free.line_ids, free.flows))
+    lines = []
+    for ln in net.lines:
+        kind = draw(st.sampled_from(["unlimited", "drawn", "at-optimum"]))
+        limit = math.inf
+        if kind == "drawn":
+            limit = draw(st.floats(0.1, 1.0)) * total
+        elif kind == "at-optimum" and abs(flows.get(ln.id, 0.0)) > 1e-6:
+            limit = abs(flows[ln.id])
+        lines.append(replace(ln, limit=limit))
+    net = replace(net, lines=tuple(lines))
+    pairs = [(m, k) for m in range(1, net.n_bus + 1) for k in range(m + 1, net.n_bus + 1)]
+    count = draw(st.integers(0, 2))
+    placements = draw(st.lists(st.sampled_from(pairs), min_size=count, max_size=count,
+                               unique=True))
+    cap = draw(st.sampled_from([math.inf, 0.05, 0.2])) * total
+    mode = draw(st.sampled_from(["opf", "preventive", "corrective"]))
+    outages = default_contingencies(net)
+    conts = [] if mode == "opf" else draw(
+        st.lists(st.sampled_from(outages), min_size=1, max_size=4, unique=True)
+        if outages else st.just([]))
+    return net, placements, cap, conts, mode
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(instance=opf_instances())
+def test_opf_agrees_with_highs_on_drawn_grids(instance):
+    """Status, cost and a feasible printed point, as on the bundled cases,
+    for hypothesis-drawn grids in all three modes."""
+    net, placements, cap, conts, mode = instance
+    if mode == "opf":
+        sol = dc_opf(net, placements, p_dc_max=cap)
+    else:
+        sol = sc_opf(net, placements, contingencies=conts, mode=mode, p_dc_max=cap)
+    status, cost = highs_opf(net, placements, cap, conts, mode == "corrective")
+    assert sol.status == status
+    if status == "optimal":
+        assert abs(sol.cost - cost) <= 1e-7 * (1 + abs(cost))
+        assert_point_feasible(net, sol, cap, conts, placements)

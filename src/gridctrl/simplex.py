@@ -10,6 +10,11 @@ updates only the cells it changes, those in a row where the pivot column is
 nonzero and a column where the pivot row is nonzero; each of them gets the
 same single multiply-subtract the full rank-1 update would give it.
 
+Between iterations the loop keeps what only the entering and the leaving
+column can change: the basic values and their bounds by basis position, and
+per column whether it may enter moving up or down.  Pricing stays the full
+product ``c - c_B @ t`` every iteration, since its bits decide the pivots.
+
 The optimal status is only returned after the point the pivots produced, and
 the duals read off the final tableau, pass primal and dual feasibility checks
 on the original data at 1e-7.  The returned point is that certified point.
@@ -26,6 +31,8 @@ PIVOT_TOL = 1e-9
 DEGENERATE_STREAK = 40
 
 _AT_LOWER, _AT_UPPER, _FREE, _BASIC = 0, 1, 2, 3
+# (gate_up, gate_dn) of a movable nonbasic column at that bound
+_GATES = {_AT_LOWER: (0.0, -np.inf), _AT_UPPER: (-np.inf, 0.0)}
 
 
 class SimplexStallError(RuntimeError):
@@ -105,95 +112,128 @@ class _Tableau:
         self.iterations = 0
 
     def run(self, cvec: np.ndarray, max_iter: int) -> str:
-        """Minimize cvec over the current basis.  'optimal' or 'unbounded'."""
+        """Minimize cvec over the current basis.  'optimal' or 'unbounded'.
+
+        Between iterations the loop keeps, by basis position r, the basic
+        values xb[r] = x[basis[r]] and their bounds (written back into x on
+        every return), and, by column, gates that are 0 where the column may
+        enter moving up (down) and -inf where it may not.  A step changes
+        them only at the entering and the leaving column.
+        """
+        m, t, x, basis, status = self.m, self.t, self.x, self.basis, self.status
+        lower, upper = self.lower, self.upper
+        movable = (status != _BASIC) & (upper - lower > 0.0)
+        gate_up = np.where(movable & (status != _AT_UPPER), 0.0, -np.inf)
+        gate_dn = np.where(movable & (status != _AT_LOWER), 0.0, -np.inf)
+        dtol = FEAS_TOL * (1.0 + float(np.abs(cvec).max(initial=0.0)))
+        xb, lb, ub = x[basis], lower[basis], upper[basis]
+        score, score_dn = np.empty(self.total), np.empty(self.total)
+        d, abs_d, room, ratios = np.empty(m), np.empty(m), np.empty(m), np.empty(m)
+        rises = np.empty(m, dtype=bool)
         bland = False
         streak = 0
-        rng = self.upper - self.lower
-        while True:
-            if self.iterations >= max_iter:
-                raise SimplexStallError(
-                    f"no optimum after {self.iterations} iterations")
-            self.iterations += 1
+        try:
+            while True:
+                if self.iterations >= max_iter:
+                    raise SimplexStallError(
+                        f"no optimum after {self.iterations} iterations")
+                self.iterations += 1
+                if not self.total:          # no column to price
+                    return "optimal"
 
-            z = cvec - (cvec[self.basis] @ self.t if self.m else 0.0)
-            movable = (self.status != _BASIC) & (rng > 0.0)
-            dtol = FEAS_TOL * (1.0 + np.abs(cvec).max(initial=0.0))
-            up = movable & ((self.status == _AT_LOWER) | (self.status == _FREE)) & (z < -dtol)
-            dn = movable & ((self.status == _AT_UPPER) | (self.status == _FREE)) & (z > dtol)
-            elig = up | dn
-            if not elig.any():
-                return "optimal"
-            if bland:
-                j = int(np.flatnonzero(elig)[0])
-            else:
-                scores = np.where(elig, np.abs(z), -1.0)
-                j = int(np.argmax(scores))
-            direction = 1.0 if up[j] else -1.0
+                z = cvec - (cvec[basis] @ t if m else 0.0)
+                # |z| on every column that may enter, at most dtol elsewhere
+                np.subtract(gate_up, z, out=score)
+                np.add(gate_dn, z, out=score_dn)
+                np.maximum(score, score_dn, out=score)
+                j = int(score.argmax())
+                if not score[j] > dtol:
+                    return "optimal"
+                if bland:
+                    j = int((score > dtol).argmax())
+                direction = 1.0 if z[j] < 0.0 else -1.0
 
-            d = self.t[:, j] if self.m else np.zeros(0)
-            rate = -direction * d
-            bvars = self.basis
-            ratios = np.full(self.m, np.inf)
-            grow = rate > PIVOT_TOL
-            shrink = rate < -PIVOT_TOL
-            if grow.any():
-                room = self.upper[bvars[grow]] - self.x[bvars[grow]]
-                ratios[grow] = np.maximum(room, 0.0) / rate[grow]
-            if shrink.any():
-                room = self.x[bvars[shrink]] - self.lower[bvars[shrink]]
-                ratios[shrink] = np.maximum(room, 0.0) / (-rate[shrink])
+                # basic value r moves by -direction * d[r] per unit step
+                np.copyto(d, t[:, j])
+                np.abs(d, out=abs_d)
+                if direction > 0:
+                    np.less(d, 0.0, out=rises)
+                else:
+                    np.greater(d, 0.0, out=rises)
+                np.subtract(xb, lb, out=room)
+                np.subtract(ub, xb, out=ratios)
+                np.copyto(room, ratios, where=rises)
+                np.maximum(room, 0.0, out=room)
+                ratios.fill(np.inf)
+                np.divide(room, abs_d, out=ratios, where=abs_d > PIVOT_TOL)
 
-            # distance from x[j] to the bound it moves towards, inf if none
-            own = self.upper[j] - self.x[j] if direction > 0 else self.x[j] - self.lower[j]
-            row_min = ratios.min() if self.m else np.inf
-            delta = min(own, row_min)
-            if not np.isfinite(delta):
-                return "unbounded"
+                # distance from x[j] to the bound it moves towards, inf if none
+                xj = float(x[j])
+                own = float(upper[j]) - xj if direction > 0 else xj - float(lower[j])
+                row_min = float(ratios.min(initial=np.inf))
+                delta = min(own, row_min)
+                if not np.isfinite(delta):
+                    return "unbounded"
 
-            streak = streak + 1 if delta <= 1e-10 else 0
-            if streak > DEGENERATE_STREAK:
-                bland = True
-            elif streak == 0:
-                bland = False
+                streak = streak + 1 if delta <= 1e-10 else 0
+                if streak > DEGENERATE_STREAK:
+                    bland = True
+                elif streak == 0:
+                    bland = False
 
-            if own <= row_min:
-                # bound flip: variable reaches that bound, basis unchanged
-                self.x[bvars] -= direction * own * d
-                self.x[j] = self.upper[j] if direction > 0 else self.lower[j]
-                self.status[j] = _AT_UPPER if direction > 0 else _AT_LOWER
-                continue
+                if own <= row_min:
+                    # bound flip: variable reaches that bound, basis unchanged
+                    xb -= direction * own * d
+                    side = _AT_UPPER if direction > 0 else _AT_LOWER
+                    x[j] = upper[j] if direction > 0 else lower[j]
+                    status[j] = side
+                    gate_up[j], gate_dn[j] = _GATES[side]
+                    continue
 
-            tie = ratios <= row_min + 1e-10
-            if bland:
-                cands = np.flatnonzero(tie)
-                r = int(cands[np.argmin(bvars[cands])])
-            else:
-                stab = np.where(tie, np.abs(d), -1.0)
-                r = int(np.argmax(stab))
+                tie = ratios <= row_min + 1e-10
+                if bland:
+                    cands = np.flatnonzero(tie)
+                    r = int(cands[np.argmin(basis[cands])])
+                else:
+                    r = int(np.where(tie, abs_d, -1.0).argmax())
 
-            leaving = int(bvars[r])
-            self.x[bvars] -= direction * delta * d
-            self.x[j] = self.x[j] + direction * delta
-            self.x[leaving] = self.upper[leaving] if rate[r] > 0 else self.lower[leaving]
-            self.status[leaving] = _AT_UPPER if rate[r] > 0 else _AT_LOWER
+                leaving = int(basis[r])
+                xb -= direction * delta * d
+                side = _AT_UPPER if rises[r] else _AT_LOWER
+                x[leaving] = ub[r] if rises[r] else lb[r]
+                status[leaving] = side
+                if ub[r] - lb[r] > 0.0:
+                    gate_up[leaving], gate_dn[leaving] = _GATES[side]
 
-            self._pivot(r, j)
-            self.basis[r] = j
-            self.status[j] = _BASIC
+                self._pivot(r, j)
+                basis[r] = j
+                status[j] = _BASIC
+                gate_up[j] = gate_dn[j] = -np.inf
+                xb[r] = xj + direction * delta
+                lb[r], ub[r] = lower[j], upper[j]
+        finally:
+            x[basis] = xb
 
     def _pivot(self, r: int, j: int) -> None:
         """Eliminate column j from every row but r, which is scaled to t[r, j] = 1.
 
         Only the cells where both column j and row r are nonzero change; every
-        other cell would have a product of 0 subtracted from it.
+        other cell would have a product of 0 subtracted from it.  They are
+        read and written by flat index, which costs less per cell than a
+        two-axis fancy index.
         """
-        piv = self.t[r, j]
-        self.t[r] /= piv
-        col = self.t[:, j].copy()
+        t = self.t
+        t[r] /= t[r, j]
+        col = t[:, j].copy()
         col[r] = 0.0
         rows = col.nonzero()[0]
-        cols = self.t[r].nonzero()[0]
-        self.t[rows[:, None], cols] -= col[rows, None] * self.t[r, cols]
+        prow = t[r]
+        cols = prow.nonzero()[0]
+        flat = t.reshape(-1, copy=False)
+        cells = (rows * t.shape[1])[:, None] + cols
+        change = np.multiply.outer(col[rows], prow[cols])
+        np.subtract(flat[cells], change, out=change)
+        flat[cells] = change
 
 
 def _certify(p: LpProblem, tab: _Tableau) -> np.ndarray:

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from gridctrl import opf, simplex
-from gridctrl.simplex import LpProblem, SimplexNumericalError, SimplexStallError, solve_lp
+from gridctrl.simplex import (_AT_LOWER, _AT_UPPER, _BASIC, _FREE, FEAS_TOL, PIVOT_TOL, LpProblem,
+                              SimplexNumericalError, SimplexStallError, solve_lp)
 
 INF = np.inf
 
@@ -163,7 +164,9 @@ def test_matches_enumeration_on_random_programs():
 
 
 def test_degenerate_ties_still_finish():
-    """Many identical columns force degenerate pivots; Bland must rescue."""
+    """Many identical columns give tied ratios and degenerate steps; the
+    streak stays under DEGENERATE_STREAK, so Dantzig's rule finishes alone
+    (the chain below runs Bland's rule)."""
     n = 8
     a = np.ones((2, n))
     a[1, : n // 2] = 0.0
@@ -210,12 +213,12 @@ def test_certificate_checks_reduced_costs_of_basic_columns(monkeypatch):
 
 
 @st.composite
-def small_lps(draw):
+def small_lps(draw, rows=st.integers(0, 3)):
     """Integer LPs with 1-5 variables and 0-3 rows; every bound kind, and a
     right-hand side that half the time comes from a vertex of the box, which
     makes the program feasible and often degenerate."""
     n = draw(st.integers(1, 5))
-    m = draw(st.integers(0, 3))
+    m = draw(rows)
 
     def ints(lo, hi, size):
         return np.array(draw(st.lists(st.integers(lo, hi), min_size=size, max_size=size)),
@@ -258,6 +261,21 @@ def highs(p: LpProblem):
 @example(p=lp([1.0], [[1.0]], [-1.0], [0.0], [INF]))                   # infeasible
 @example(p=lp([-1.0, 0.0], [[1.0, -1.0]], [0.0], [0.0, 0.0], [INF, INF]))  # unbounded
 def test_agrees_with_highs(p):
+    assert_agrees_with_highs(p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=small_lps())
+@example(p=lp([-1.0, -1.0, 0.0], [[1.0, 1.0, 1.0], [1.0, 1.0, 0.0]], [2.0, 2.0],
+              [0.0, 0.0, 0.0], [2.0, 2.0, 2.0]))                       # degenerate
+def test_agrees_with_highs_under_bland(p):
+    """Bland's rule from the first degenerate step on."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplex, "DEGENERATE_STREAK", 0)
+        assert_agrees_with_highs(p)
+
+
+def assert_agrees_with_highs(p: LpProblem):
     res = solve_lp(p)
     status, objective = highs(p)
     assert res.status == status
@@ -268,14 +286,98 @@ def test_agrees_with_highs(p):
 
 
 # ---------------------------------------------------------------------------
-# the pivot updates only the cells it changes: same path and bits as the
-# full rank-1 update
+# the loop keeps its state between iterations and the pivot updates only the
+# cells it changes: the same path and bits as a loop that rebuilds its state
+# every iteration around the full rank-1 update
 
 
-class _DenseTableau(simplex._Tableau):
-    """Reference pivot: subtract the rank-1 update from the whole tableau."""
+class _ReferenceTableau(simplex._Tableau):
+    """The loop that rebuilds its masks, ratios and basic values every
+    iteration, verbatim but for counting the iterations that price by
+    Bland's rule, and the dense rank-1 pivot."""
+
+    bland_steps = 0
+
+    def run(self, cvec: np.ndarray, max_iter: int) -> str:
+        """Minimize cvec over the current basis.  'optimal' or 'unbounded'."""
+        bland = False
+        streak = 0
+        rng = self.upper - self.lower
+        while True:
+            if self.iterations >= max_iter:
+                raise SimplexStallError(
+                    f"no optimum after {self.iterations} iterations")
+            self.iterations += 1
+
+            z = cvec - (cvec[self.basis] @ self.t if self.m else 0.0)
+            movable = (self.status != _BASIC) & (rng > 0.0)
+            dtol = FEAS_TOL * (1.0 + np.abs(cvec).max(initial=0.0))
+            up = movable & ((self.status == _AT_LOWER) | (self.status == _FREE)) & (z < -dtol)
+            dn = movable & ((self.status == _AT_UPPER) | (self.status == _FREE)) & (z > dtol)
+            elig = up | dn
+            if not elig.any():
+                return "optimal"
+            self.bland_steps += bland
+            if bland:
+                j = int(np.flatnonzero(elig)[0])
+            else:
+                scores = np.where(elig, np.abs(z), -1.0)
+                j = int(np.argmax(scores))
+            direction = 1.0 if up[j] else -1.0
+
+            d = self.t[:, j] if self.m else np.zeros(0)
+            rate = -direction * d
+            bvars = self.basis
+            ratios = np.full(self.m, np.inf)
+            grow = rate > PIVOT_TOL
+            shrink = rate < -PIVOT_TOL
+            if grow.any():
+                room = self.upper[bvars[grow]] - self.x[bvars[grow]]
+                ratios[grow] = np.maximum(room, 0.0) / rate[grow]
+            if shrink.any():
+                room = self.x[bvars[shrink]] - self.lower[bvars[shrink]]
+                ratios[shrink] = np.maximum(room, 0.0) / (-rate[shrink])
+
+            # distance from x[j] to the bound it moves towards, inf if none
+            own = self.upper[j] - self.x[j] if direction > 0 else self.x[j] - self.lower[j]
+            row_min = ratios.min() if self.m else np.inf
+            delta = min(own, row_min)
+            if not np.isfinite(delta):
+                return "unbounded"
+
+            streak = streak + 1 if delta <= 1e-10 else 0
+            if streak > simplex.DEGENERATE_STREAK:
+                bland = True
+            elif streak == 0:
+                bland = False
+
+            if own <= row_min:
+                # bound flip: variable reaches that bound, basis unchanged
+                self.x[bvars] -= direction * own * d
+                self.x[j] = self.upper[j] if direction > 0 else self.lower[j]
+                self.status[j] = _AT_UPPER if direction > 0 else _AT_LOWER
+                continue
+
+            tie = ratios <= row_min + 1e-10
+            if bland:
+                cands = np.flatnonzero(tie)
+                r = int(cands[np.argmin(bvars[cands])])
+            else:
+                stab = np.where(tie, np.abs(d), -1.0)
+                r = int(np.argmax(stab))
+
+            leaving = int(bvars[r])
+            self.x[bvars] -= direction * delta * d
+            self.x[j] = self.x[j] + direction * delta
+            self.x[leaving] = self.upper[leaving] if rate[r] > 0 else self.lower[leaving]
+            self.status[leaving] = _AT_UPPER if rate[r] > 0 else _AT_LOWER
+
+            self._pivot(r, j)
+            self.basis[r] = j
+            self.status[j] = _BASIC
 
     def _pivot(self, r, j):
+        """Subtract the rank-1 update from the whole tableau."""
         self.t[r] /= self.t[r, j]
         col = self.t[:, j].copy()
         col[r] = 0.0
@@ -283,7 +385,7 @@ class _DenseTableau(simplex._Tableau):
 
 
 def solve_with(tableau, p: LpProblem):
-    """solve_lp on ``tableau``; the result and the final basis."""
+    """solve_lp on ``tableau``; the result and the tableau it ended with."""
     made = []
 
     class Recorded(tableau):
@@ -294,20 +396,23 @@ def solve_with(tableau, p: LpProblem):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simplex, "_Tableau", Recorded)
         res = solve_lp(p)
-    return res, made[0].basis.copy()
+    return res, made[0]
 
 
 def assert_same_path(p: LpProblem):
-    got, got_basis = solve_with(simplex._Tableau, p)
-    want, want_basis = solve_with(_DenseTableau, p)
+    """Status, iterations, final basis and the point's bytes agree with the
+    reference; returns the result and the reference's tableau."""
+    got, got_tab = solve_with(simplex._Tableau, p)
+    want, want_tab = solve_with(_ReferenceTableau, p)
     assert got.status == want.status
     assert got.iterations == want.iterations
-    np.testing.assert_array_equal(got_basis, want_basis)
+    np.testing.assert_array_equal(got_tab.basis, want_tab.basis)
     if want.x is None:
-        assert got.x is None
+        assert got.x is None and got.objective is None
     else:
-        assert np.array_equal(got.x, want.x) and got.objective == want.objective
-    return got
+        assert got.x.tobytes() == want.x.tobytes()
+        assert got.objective == want.objective
+    return got, want_tab
 
 
 @st.composite
@@ -334,13 +439,8 @@ def block_lps(draw):
               stacked("lower", -INF), stacked("upper", INF))
 
 
-@settings(max_examples=200, deadline=None)
-@given(p=block_lps())
-def test_pivot_matches_the_full_update_on_block_lps(p):
-    assert_same_path(p)
-
-
-def test_pivot_matches_the_full_update_on_corrective_sc_opf(fixture10):
+def lps_solved_by(call):
+    """Every LP that ``call()`` hands the simplex through opf."""
     problems = []
 
     def capture(problem):
@@ -349,8 +449,80 @@ def test_pivot_matches_the_full_update_on_corrective_sc_opf(fixture10):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(opf, "solve_lp", capture)
-        opf.sc_opf(fixture10, [(1, 8)], mode=opf.CORRECTIVE)
-    (p,) = problems
-    res = assert_same_path(p)
+        call()
+    return problems
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=small_lps())
+def test_loop_matches_the_reference_on_small_lps(p):
+    assert_same_path(p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=small_lps(rows=st.just(0)))
+def test_loop_matches_the_reference_without_rows(p):
+    assert_same_path(p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=block_lps())
+def test_pivot_matches_the_full_update_on_block_lps(p):
+    assert_same_path(p)
+
+
+def test_pivot_matches_the_full_update_on_corrective_sc_opf(fixture10):
+    (p,) = lps_solved_by(lambda: opf.sc_opf(fixture10, [(1, 8)], mode=opf.CORRECTIVE))
+    res, _ = assert_same_path(p)
     assert p.b_eq.shape == (197,)
     assert res.status == "optimal" and res.iterations > 100
+
+
+def test_loop_matches_the_reference_on_preventive_sc_opf(fixture10):
+    (p,) = lps_solved_by(lambda: opf.sc_opf(fixture10, [(1, 8), (2, 6)]))
+    res, _ = assert_same_path(p)
+    assert res.status == "optimal" and res.iterations > 100
+
+
+def test_loop_matches_the_reference_on_every_cos_curve_lp(fixture10):
+    problems = lps_solved_by(lambda: opf.cos_curve(fixture10, 3, mode=opf.CORRECTIVE))
+    assert len(problems) == 8
+    for p in problems:
+        assert_same_path(p)
+
+
+# ---------------------------------------------------------------------------
+# Bland's rule: first eligible column in, lowest-index basic column out
+
+
+def test_a_degenerate_streak_past_the_limit_switches_to_bland():
+    """x_i = x_(i+1) along a chain of 50 links, x_0 <= 1, maximise x_50.  With
+    b = 0 phase 1 makes only degenerate steps, more than DEGENERATE_STREAK in
+    a row, so Bland's rule picks columns; the loop takes the reference's
+    path through them."""
+    m = 50
+    a = np.eye(m, m + 1) - np.eye(m, m + 1, k=1)
+    c = np.zeros(m + 1)
+    c[-1] = -1.0
+    upper = np.full(m + 1, INF)
+    upper[0] = 1.0
+    res, reference = assert_same_path(lp(c, a, np.zeros(m), np.zeros(m + 1), upper))
+    assert reference.bland_steps > 0
+    assert res.status == "optimal" and res.objective == pytest.approx(-1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=small_lps())
+def test_bland_steps_match_the_reference_on_small_lps(p):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplex, "DEGENERATE_STREAK", 0)
+        assert_same_path(p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=block_lps())
+def test_bland_steps_match_the_reference_on_block_lps(p):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplex, "DEGENERATE_STREAK", 0)
+        assert_same_path(p)
+

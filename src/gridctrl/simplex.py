@@ -29,6 +29,7 @@ import numpy as np
 FEAS_TOL = 1e-7
 PIVOT_TOL = 1e-9
 DEGENERATE_STREAK = 40
+_PIVOT_CHUNK = 1 << 16     # cells per block of a pivot update; bounds its temporaries
 
 _AT_LOWER, _AT_UPPER, _FREE, _BASIC = 0, 1, 2, 3
 # (gate_up, gate_dn) of a movable nonbasic column at that bound
@@ -219,8 +220,11 @@ class _Tableau:
 
         Only the cells where both column j and row r are nonzero change; every
         other cell would have a product of 0 subtracted from it.  They are
-        read and written by flat index, which costs less per cell than a
-        two-axis fancy index.
+        read and written by flat index into ``t`` (C-contiguous: built by
+        ``np.hstack`` and only ever updated in place, so ``ravel`` is a view),
+        which costs less per cell than a two-axis fancy index.  The rows go in
+        blocks of at most ``_PIVOT_CHUNK`` cells, which bounds the three
+        temporaries (index, product, gathered values) whatever the tableau.
         """
         t = self.t
         t[r] /= t[r, j]
@@ -229,11 +233,15 @@ class _Tableau:
         rows = col.nonzero()[0]
         prow = t[r]
         cols = prow.nonzero()[0]
-        flat = t.reshape(-1, copy=False)
-        cells = (rows * t.shape[1])[:, None] + cols
-        change = np.multiply.outer(col[rows], prow[cols])
-        np.subtract(flat[cells], change, out=change)
-        flat[cells] = change
+        flat = t.ravel()
+        pcols = prow[cols]
+        step = max(1, _PIVOT_CHUNK // cols.size)
+        for s in range(0, rows.size, step):
+            block = rows[s:s + step]
+            cells = (block * t.shape[1])[:, None] + cols
+            change = np.multiply.outer(col[block], pcols)
+            np.subtract(flat[cells], change, out=change)
+            flat[cells] = change
 
 
 def _certify(p: LpProblem, tab: _Tableau) -> np.ndarray:

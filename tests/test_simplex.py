@@ -213,12 +213,12 @@ def test_certificate_checks_reduced_costs_of_basic_columns(monkeypatch):
 
 
 @st.composite
-def small_lps(draw, rows=st.integers(0, 3)):
+def small_lps(draw):
     """Integer LPs with 1-5 variables and 0-3 rows; every bound kind, and a
     right-hand side that half the time comes from a vertex of the box, which
     makes the program feasible and often degenerate."""
     n = draw(st.integers(1, 5))
-    m = draw(rows)
+    m = draw(st.integers(0, 3))
 
     def ints(lo, hi, size):
         return np.array(draw(st.lists(st.integers(lo, hi), min_size=size, max_size=size)),
@@ -455,13 +455,8 @@ def lps_solved_by(call):
 
 @settings(max_examples=300, deadline=None)
 @given(p=small_lps())
+@example(p=lp([-1.0, 2.0, 0.0], np.zeros((0, 3)), [], [0.0, -1.0, -INF], [3.0, 4.0, INF]))
 def test_loop_matches_the_reference_on_small_lps(p):
-    assert_same_path(p)
-
-
-@settings(max_examples=100, deadline=None)
-@given(p=small_lps(rows=st.just(0)))
-def test_loop_matches_the_reference_without_rows(p):
     assert_same_path(p)
 
 
@@ -471,11 +466,15 @@ def test_pivot_matches_the_full_update_on_block_lps(p):
     assert_same_path(p)
 
 
-def test_pivot_matches_the_full_update_on_corrective_sc_opf(fixture10):
+def test_pivot_matches_the_full_update_on_corrective_sc_opf(fixture10, monkeypatch):
+    """Also with each pivot split into blocks of 16 cells: of several rows, or
+    of one row where the pivot row has more than 16 nonzeros."""
     (p,) = lps_solved_by(lambda: opf.sc_opf(fixture10, [(1, 8)], mode=opf.CORRECTIVE))
     res, _ = assert_same_path(p)
     assert p.b_eq.shape == (197,)
     assert res.status == "optimal" and res.iterations > 100
+    monkeypatch.setattr(simplex, "_PIVOT_CHUNK", 16)
+    assert_same_path(p)
 
 
 def test_loop_matches_the_reference_on_preventive_sc_opf(fixture10):

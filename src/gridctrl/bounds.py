@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dcsens import InjectionProfile, PtdfMatrix, build_susceptance, cv_matrix, ptdf
+from .dcsens import InjectionProfile, PtdfMatrix, cv_matrix, incidence, ptdf
 from .netmodel import InputError, Network
 
 RANK_REL_TOL = 1e-8
@@ -27,12 +27,6 @@ def matrix_rank(a: np.ndarray) -> int:
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.sum(s > RANK_REL_TOL * s[0]))
-
-
-def incidence_matrix(net: Network) -> np.ndarray:
-    """Signed incidence over in-service lines, (n_B, n_L): the sign pattern
-    of B_line, whose reactances are all positive."""
-    return np.sign(build_susceptance(net).b_line).T
 
 
 @dataclass(frozen=True)
@@ -67,12 +61,8 @@ def solve_fixed_flows(net: Network, inj: InjectionProfile,
     """
     if inj.p.shape != (net.n_bus,):
         raise InputError(f"injection length {inj.p.shape[0]} != n_bus {net.n_bus}")
-    a = incidence_matrix(net)
-    id_to_col = {ln.id: k for k, ln in enumerate(net.lines_in_service)}
-    for lid in fixed:
-        if lid not in id_to_col:
-            raise InputError(f"no in-service line with id {lid}")
-    fixed_cols = [id_to_col[lid] for lid in fixed]
+    a = incidence(net).T
+    fixed_cols = [net.line_row(lid) for lid in fixed]
     fixed_vals = np.array([fixed[lid] for lid in fixed], dtype=float)
     free_cols = [k for k in range(a.shape[1]) if k not in set(fixed_cols)]
 

@@ -1,9 +1,12 @@
-"""DC sensitivities: susceptance matrices, PTDF, CV, TCSC derivative, LODF.
+"""DC sensitivities: incidence, PTDF, CV, TCSC derivative, LODF.
 
 Matrix row/column order follows the network's bus and in-service-line file
-order.  The bus susceptance matrix is singular; every inverse here deletes
-the slack row and column, inverts the remainder, and re-inserts zero vectors
-at the slack position.  Consequence: the slack column of the PTDF is zero.
+order.  ``incidence`` is the one place in-service lines become a matrix;
+the susceptance matrices, the bridge test and the pinned-flow system are all
+built from it.  The bus susceptance matrix is singular; every inverse here
+deletes the slack row and column, inverts the remainder, and re-inserts zero
+vectors at the slack position.  Consequence: the slack column of the PTDF is
+zero.
 """
 
 from __future__ import annotations
@@ -36,30 +39,15 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True, eq=False)
-class SusceptanceMatrices:
-    b_line: np.ndarray          # (n_L, n_B): row l = (1/x_l)(e_from - e_to)
-    b_bus: np.ndarray           # (n_B, n_B): weighted graph Laplacian
-    slack_index: int
-    bus_ids: tuple[int, ...]
-    line_ids: tuple[int, ...]
-
-
-def build_susceptance(net: Network) -> SusceptanceMatrices:
+def incidence(net: Network) -> np.ndarray:
+    """Signed (n_L, n_B) incidence of the in-service lines: row k is +1 at
+    line k's from-bus and -1 at its to-bus, so a positive flow runs from->to."""
     lines = net.lines_in_service
-    n_b, n_l = net.n_bus, len(lines)
-    b_line = np.zeros((n_l, n_b))
-    for k, ln in enumerate(lines):
-        b = 1.0 / ln.reactance
-        b_line[k, net.bus_index[ln.from_bus]] = b
-        b_line[k, net.bus_index[ln.to_bus]] = -b
-    incidence = np.sign(b_line)
-    b_bus = incidence.T @ b_line
-    return SusceptanceMatrices(
-        b_line=_frozen(b_line), b_bus=_frozen(b_bus),
-        slack_index=net.slack_index, bus_ids=net.bus_ids,
-        line_ids=tuple(ln.id for ln in lines),
-    )
+    rows = np.arange(len(lines))
+    inc = np.zeros((len(lines), net.n_bus))
+    inc[rows, [net.bus_index[ln.from_bus] for ln in lines]] = 1.0
+    inc[rows, [net.bus_index[ln.to_bus] for ln in lines]] = -1.0
+    return inc
 
 
 def _reduced_inverse(b_bus: np.ndarray, slack: int) -> np.ndarray:
@@ -91,13 +79,17 @@ class PtdfMatrix:
 
 
 def ptdf(net: Network) -> PtdfMatrix:
-    """PTDF = B_line * reduced-inverse(B_bus).  Requires a connected network."""
+    """PTDF = B_line * reduced-inverse(B_bus), with B_line the incidence
+    over the reactances and B_bus = inc.T @ B_line the weighted Laplacian.
+    Requires a connected network."""
     _require_connected(net)
-    sus = build_susceptance(net)
-    values = sus.b_line @ _reduced_inverse(sus.b_bus, sus.slack_index)
-    values[:, sus.slack_index] = 0.0
-    return PtdfMatrix(values=_frozen(values), slack_index=sus.slack_index,
-                      bus_ids=sus.bus_ids, line_ids=sus.line_ids)
+    lines = net.lines_in_service
+    inc = incidence(net)
+    b_line = inc / np.array([ln.reactance for ln in lines]).reshape(-1, 1)
+    values = b_line @ _reduced_inverse(inc.T @ b_line, net.slack_index)
+    values[:, net.slack_index] = 0.0
+    return PtdfMatrix(values=_frozen(values), slack_index=net.slack_index,
+                      bus_ids=net.bus_ids, line_ids=tuple(ln.id for ln in lines))
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,15 +110,21 @@ class InjectionProfile:
     def from_pairs(cls, net: Network, values: dict[int, float]) -> "InjectionProfile":
         p = np.zeros(net.n_bus)
         for bus_id, val in values.items():
+            if bus_id not in net.bus_index:
+                raise InputError(f"no bus with id {bus_id}")
             p[net.bus_index[bus_id]] += val
         return cls(p)
 
 
 def dc_flow(net: Network, inj: InjectionProfile) -> np.ndarray:
     """Line flows (MW, in-service line order) for a balanced injection."""
-    mat = ptdf(net)
-    if inj.p.shape != (net.n_bus,):
-        raise InputError(f"injection length {inj.p.shape[0]} != n_bus {net.n_bus}")
+    return _flows(ptdf(net), inj)
+
+
+def _flows(mat: PtdfMatrix, inj: InjectionProfile) -> np.ndarray:
+    n_bus = len(mat.bus_ids)
+    if inj.p.shape != (n_bus,):
+        raise InputError(f"injection length {inj.p.shape[0]} != n_bus {n_bus}")
     return mat.values @ inj.p
 
 
@@ -182,23 +180,17 @@ def tcsc_sensitivity(net: Network, inj: InjectionProfile, line_id: int) -> np.nd
     """d(line flows)/d(reactance of ``line_id``), evaluated analytically, in
     MW per p.u. of reactance for injections ``inj`` in MW.
 
-    With theta = reduced-inverse(B_bus) @ p and w = theta_i - theta_j over the
-    device line's terminals, the derivative collapses to
-    (w / x^2) * (CV_ij - e_line).  The second term of the product rule carries
-    a minus sign from d(inv(B)) = -inv(B) dB inv(B).
+    With f_k the device line's flow and x_k its reactance, the derivative
+    collapses to (f_k / x_k) * (CV_ij - e_k) over the line's terminals i, j.
+    The second term of the product rule carries a minus sign from
+    d(inv(B)) = -inv(B) dB inv(B).
     """
-    _require_connected(net)
-    lines = net.lines_in_service
-    row = next((k for k, ln in enumerate(lines) if ln.id == line_id), None)
-    if row is None:
-        raise InputError(f"no in-service line with id {line_id}")
-    ln = lines[row]
-    sus = build_susceptance(net)
-    theta = _reduced_inverse(sus.b_bus, sus.slack_index) @ inj.p
-    w = theta[net.bus_index[ln.from_bus]] - theta[net.bus_index[ln.to_bus]]
     mat = ptdf(net)
-    sens = (w / ln.reactance ** 2) * cv(mat, ln.from_bus, ln.to_bus).values
-    sens[row] -= w / ln.reactance ** 2
+    row = net.line_row(line_id)
+    ln = net.lines_in_service[row]
+    scale = _flows(mat, inj)[row] / ln.reactance
+    sens = scale * cv(mat, ln.from_bus, ln.to_bus).values
+    sens[row] -= scale
     return sens
 
 
@@ -217,8 +209,7 @@ class LodfMatrix:
 
 def remove_line(net: Network, line_id: int) -> Network:
     """Copy of the network with one line switched out of service."""
-    if all(ln.id != line_id or not ln.in_service for ln in net.lines):
-        raise InputError(f"no in-service line with id {line_id}")
+    net.line_row(line_id)                   # raises unless the line is in service
     return replace(net, lines=tuple(
         ln if ln.id != line_id else replace(ln, in_service=False) for ln in net.lines))
 
@@ -236,10 +227,10 @@ def bridges(net: Network) -> frozenset[int]:
     denominator) is not a bridge.  Requires a connected network.
     """
     _require_connected(net)
-    sus = build_susceptance(net)
-    inc = np.sign(sus.b_line)
-    h = ((inc @ _reduced_inverse(inc.T @ inc, sus.slack_index)) * inc).sum(axis=1)
-    return frozenset(lid for lid, hk in zip(sus.line_ids, h) if hk > 1.0 - 0.5 / net.n_bus)
+    inc = incidence(net)
+    h = ((inc @ _reduced_inverse(inc.T @ inc, net.slack_index)) * inc).sum(axis=1)
+    return frozenset(ln.id for ln, hk in zip(net.lines_in_service, h)
+                     if hk > 1.0 - 0.5 / net.n_bus)
 
 
 def lodf(net: Network) -> LodfMatrix:

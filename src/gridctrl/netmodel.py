@@ -108,6 +108,17 @@ class Network:
     def lines_in_service(self) -> tuple[Line, ...]:
         return tuple(ln for ln in self.lines if ln.in_service)
 
+    @cached_property
+    def _line_rows(self) -> dict[int, int]:
+        return {ln.id: k for k, ln in enumerate(self.lines_in_service)}
+
+    def line_row(self, line_id: int) -> int:
+        """Row of in-service line ``line_id`` in every per-line matrix and vector."""
+        try:
+            return self._line_rows[line_id]
+        except KeyError:
+            raise InputError(f"no in-service line with id {line_id}") from None
+
     @property
     def n_bus(self) -> int:
         return len(self.buses)

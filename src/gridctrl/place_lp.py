@@ -73,7 +73,7 @@ class DeltaStrategy:
         """MW delta per requested line id."""
         out = np.empty(len(line_ids))
         for i, lid in enumerate(line_ids):
-            ln = net.line_by_id(lid)
+            ln = net.lines_in_service[net.line_row(lid)]
             if self.kind == CONSTANT_MW:
                 out[i] = self.param
             elif self.kind == OF_LIMIT:
@@ -166,12 +166,8 @@ def control_effort(mat: PtdfMatrix, placements: list[tuple[int, int]],
             f"need as many targets as controllers: {len(targets)} vs {len(placements)}")
     if len(set(targets)) != len(targets):
         raise InputError("target line ids must be distinct")
-    in_service = {lid: k for k, lid in enumerate(mat.line_ids)}
-    for lid in targets:
-        if lid not in in_service:
-            raise InputError(f"no in-service line with id {lid}")
+    rows = [net.line_row(lid) for lid in targets]
     cols = cv_matrix(mat, placements).T
-    rows = [in_service[lid] for lid in targets]
     deltas = strategy.deltas(net, tuple(targets))
     effort = _efforts(cols[rows, :][None], deltas[None], p_dc_max)[0]
     return None if np.isnan(effort) else float(effort)

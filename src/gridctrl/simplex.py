@@ -56,7 +56,9 @@ class LpProblem:
     def build(cls, c, a_eq, b_eq, lower, upper) -> "LpProblem":
         c = np.atleast_1d(np.asarray(c, dtype=float))
         b_eq = np.atleast_1d(np.asarray(b_eq, dtype=float))
-        a_eq = np.asarray(a_eq, dtype=float).reshape(b_eq.shape[0], c.shape[0])
+        a_eq = np.asarray(a_eq, dtype=float)
+        if a_eq.size == 0 and b_eq.shape[0] * c.shape[0] == 0:   # [] stands for any empty A
+            a_eq = a_eq.reshape(b_eq.shape[0], c.shape[0])
         lower = np.atleast_1d(np.asarray(lower, dtype=float))
         upper = np.atleast_1d(np.asarray(upper, dtype=float))
         return cls(c=c, a_eq=a_eq, b_eq=b_eq, lower=lower, upper=upper)

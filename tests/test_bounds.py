@@ -8,11 +8,10 @@ from gridctrl.bounds import (
     BoundsReport,
     bounds,
     controllability_rank,
-    incidence_matrix,
     matrix_rank,
     solve_fixed_flows,
 )
-from gridctrl.dcsens import InjectionProfile, ptdf
+from gridctrl.dcsens import InjectionProfile, incidence, ptdf
 from gridctrl.netmodel import Bus, InputError, Line, Network
 
 
@@ -25,7 +24,7 @@ def test_matrix_rank_basics():
 
 
 def test_incidence_triangle(triangle3):
-    a = incidence_matrix(triangle3)
+    a = incidence(triangle3).T
     np.testing.assert_array_equal(a, [
         [1.0, 0.0, 1.0],
         [-1.0, 1.0, 0.0],
@@ -113,7 +112,7 @@ def test_fixed_flows_balance_residual_is_zero(fixture10):
     pins = {1: 0.4, 3: -0.2, 5: 0.1, 12: 0.0, 14: 0.3}
     res = solve_fixed_flows(fixture10, inj, pins)
     assert res.status == "unique"
-    a = incidence_matrix(fixture10)
+    a = incidence(fixture10).T
     np.testing.assert_allclose(a @ res.flows, inj.p, atol=1e-9)
     ids = [ln.id for ln in fixture10.lines_in_service]
     for lid, val in pins.items():

@@ -1,11 +1,11 @@
-"""Susceptance, PTDF, CV, HVDC superposition, TCSC derivative, LODF.
+"""Incidence, PTDF, CV, HVDC superposition, TCSC derivative, LODF.
 
 Every numerical claim is checked against the angle-solve oracle in
 conftest.py or against a perturbed re-solve, not against the code under
 test.
 """
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -18,11 +18,14 @@ from gridctrl.dcsens import (
     DisconnectedNetworkError,
     InjectionProfile,
     apply_hvdc,
+    _frozen,
+    _reduced_inverse,
+    _require_connected,
     bridges,
-    build_susceptance,
     cv,
     cv_matrix,
     dc_flow,
+    incidence,
     lodf,
     node_pairs,
     ptdf,
@@ -41,32 +44,89 @@ def balanced_profiles(net, count, seed):
 
 
 # ---------------------------------------------------------------------------
-# susceptance
+# incidence
 
 
-def test_susceptance_triangle(triangle3):
-    sus = build_susceptance(triangle3)
-    expect = np.array([[2.0, -1.0, -1.0], [-1.0, 2.0, -1.0], [-1.0, -1.0, 2.0]])
-    np.testing.assert_allclose(sus.b_bus, expect)
-    np.testing.assert_allclose(sus.b_line, np.array(
-        [[1.0, -1.0, 0.0], [0.0, 1.0, -1.0], [1.0, 0.0, -1.0]]))
-    assert sus.slack_index == 0
-    assert sus.line_ids == (1, 2, 3)
+def test_incidence_exact(triangle3, fixture10):
+    """+1 at the from-bus, -1 at the to-bus, exact zeros elsewhere, one row
+    per in-service line in file order."""
+    np.testing.assert_array_equal(incidence(triangle3), [
+        [1.0, -1.0, 0.0], [0.0, 1.0, -1.0], [1.0, 0.0, -1.0]])
+    net = remove_line(fixture10, 3)
+    inc = incidence(net)
+    assert inc.shape == (13, 10)
+    for row, ln in zip(inc, net.lines_in_service):
+        want = np.zeros(10)
+        want[net.bus_index[ln.from_bus]] = 1.0
+        want[net.bus_index[ln.to_bus]] = -1.0
+        assert row.tobytes() == want.tobytes()
+    assert incidence(Network(buses=(Bus(1, True),), lines=())).shape == (0, 1)
 
 
-def test_susceptance_single_line():
-    net = Network(buses=(Bus(1, True), Bus(2)), lines=(Line(1, 1, 2, 0.5),))
-    sus = build_susceptance(net)
-    np.testing.assert_allclose(sus.b_line, [[2.0, -2.0]])
-    np.testing.assert_allclose(sus.b_bus, [[2.0, -2.0], [-2.0, 2.0]])
+# ---------------------------------------------------------------------------
+# reference: the susceptance builder, PTDF and bridge test that built B_line
+# by a Python loop and took the incidence as its sign pattern, verbatim; the
+# new code must give the same bits
 
 
-def test_susceptance_rows_balance(fixture10, case14):
-    for net in (fixture10, case14):
-        sus = build_susceptance(net)
-        np.testing.assert_allclose(sus.b_bus.sum(axis=1), 0.0, atol=1e-12)
-        np.testing.assert_allclose(sus.b_bus, sus.b_bus.T)
-        np.testing.assert_allclose(sus.b_line.sum(axis=1), 0.0, atol=1e-12)
+@dataclass(frozen=True, eq=False)
+class _ReferenceSusceptance:
+    b_line: np.ndarray          # (n_L, n_B): row l = (1/x_l)(e_from - e_to)
+    b_bus: np.ndarray           # (n_B, n_B): weighted graph Laplacian
+    slack_index: int
+    bus_ids: tuple[int, ...]
+    line_ids: tuple[int, ...]
+
+
+def _reference_susceptance(net):
+    lines = net.lines_in_service
+    n_b, n_l = net.n_bus, len(lines)
+    b_line = np.zeros((n_l, n_b))
+    for k, ln in enumerate(lines):
+        b = 1.0 / ln.reactance
+        b_line[k, net.bus_index[ln.from_bus]] = b
+        b_line[k, net.bus_index[ln.to_bus]] = -b
+    incidence = np.sign(b_line)
+    b_bus = incidence.T @ b_line
+    return _ReferenceSusceptance(
+        b_line=_frozen(b_line), b_bus=_frozen(b_bus),
+        slack_index=net.slack_index, bus_ids=net.bus_ids,
+        line_ids=tuple(ln.id for ln in lines),
+    )
+
+
+def _reference_ptdf(net):
+    _require_connected(net)
+    sus = _reference_susceptance(net)
+    values = sus.b_line @ _reduced_inverse(sus.b_bus, sus.slack_index)
+    values[:, sus.slack_index] = 0.0
+    return values
+
+
+def _reference_bridges(net):
+    _require_connected(net)
+    sus = _reference_susceptance(net)
+    inc = np.sign(sus.b_line)
+    h = ((inc @ _reduced_inverse(inc.T @ inc, sus.slack_index)) * inc).sum(axis=1)
+    return frozenset(lid for lid, hk in zip(sus.line_ids, h) if hk > 1.0 - 0.5 / net.n_bus)
+
+
+def _outcome(fn, net):
+    try:
+        return fn(net)
+    except DisconnectedNetworkError as exc:
+        return f"DisconnectedNetworkError: {exc}"
+
+
+def assert_same_bits_as_reference(net):
+    assert (_outcome(lambda n: ptdf(n).values.tobytes(), net)
+            == _outcome(lambda n: _reference_ptdf(n).tobytes(), net))
+    assert _outcome(bridges, net) == _outcome(_reference_bridges, net)
+
+
+def test_ptdf_and_bridges_match_reference_bits(triangle3, fixture10, case14, congested3):
+    for net in (triangle3, fixture10, case14, congested3):
+        assert_same_bits_as_reference(net)
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +208,11 @@ def test_injection_from_pairs(fixture10):
     inj = InjectionProfile.from_pairs(fixture10, {4: 0.75, 8: -0.5, 9: -0.25})
     assert inj.p[fixture10.bus_index[4]] == 0.75
     assert inj.p.sum() == pytest.approx(0.0)
+
+
+def test_injection_from_pairs_unknown_bus(fixture10):
+    with pytest.raises(InputError, match="^no bus with id 99$"):
+        InjectionProfile.from_pairs(fixture10, {99: 1.0, 1: -1.0})
 
 
 def test_dc_flow_zero(fixture10):
@@ -302,6 +367,11 @@ def test_tcsc_unknown_line(fixture10):
         tcsc_sensitivity(fixture10, inj, 77)
 
 
+def test_tcsc_injection_length(fixture10):
+    with pytest.raises(InputError, match="^injection length 3 != n_bus 10$"):
+        tcsc_sensitivity(fixture10, InjectionProfile([1.0, -1.0, 0.0]), 1)
+
+
 # ---------------------------------------------------------------------------
 # line removal and LODF
 
@@ -349,6 +419,12 @@ def multigraphs(draw, log_x=(-6.0, 4.0), n_bus=(2, 9)):
         lines.append(Line(i, f, t, x, in_service=in_service))
     return Network(buses=tuple(Bus(b, b == slack) for b in range(1, n + 1)),
                    lines=tuple(lines))
+
+
+@settings(max_examples=200, deadline=None)
+@given(net=multigraphs())
+def test_ptdf_and_bridges_match_reference_bits_on_multigraphs(net):
+    assert_same_bits_as_reference(net)
 
 
 @settings(max_examples=200, deadline=None)

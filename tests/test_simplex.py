@@ -128,6 +128,11 @@ def test_shape_validation():
     with pytest.raises(ValueError):
         solve_lp(LpProblem.build(c=[1.0, 2.0], a_eq=[[1.0, 1.0]], b_eq=[1.0],
                                  lower=[0.0], upper=[1.0]))
+    # a 3x2 A for 2 rows and 3 columns is refused, not read as the 2x3 it reshapes to
+    transposed = LpProblem.build(c=[1.0, 1.0, 1.0], a_eq=[[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
+                                 b_eq=[1.0, 1.0], lower=[0.0] * 3, upper=[5.0] * 3)
+    with pytest.raises(ValueError, match=r"A shape \(3, 2\) does not match \(2, 3\)"):
+        solve_lp(transposed)
 
 
 def test_matches_enumeration_on_random_programs():

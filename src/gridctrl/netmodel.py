@@ -140,10 +140,11 @@ class Network:
         return self.bus_index[self.slack_id]
 
     def line_by_id(self, line_id: int) -> Line:
+        """Line ``line_id``, in service or not."""
         for ln in self.lines:
             if ln.id == line_id:
                 return ln
-        raise KeyError(f"no line with id {line_id}")
+        raise InputError(f"no line with id {line_id}")
 
     @cached_property
     def load_vector(self) -> tuple[float, ...]:

@@ -3,14 +3,17 @@
 For a candidate set of HVDC node pairs, the effort to force a target set of
 line-flow changes is min sum |P_DC| subject to CV * P_DC = delta on the
 target lines and |P_DC| <= p_dc_max.  With k controllers and k target lines
-that system is a square k x k block, and ``_efforts`` scores a whole stack
-of such blocks at once:
+that system is a square k x k block.  A greedy step stacks the blocks of
+many candidates (every target set of each) into one array, at most
+``_EFFORT_CHUNK`` blocks at a time, and ``_efforts`` scores a whole stack at
+once:
 
 * a regular block (smallest singular value above the simplex's pivot
   tolerance, relative to max(largest, 1)) has the single feasible point
   P_DC = CV^-1 delta, so its effort is the closed form sum |P_DC|, and it is
   infeasible when max |P_DC| exceeds p_dc_max by more than the simplex's
-  bound tolerance;
+  bound tolerance.  A bound on the determinant clears almost every regular
+  block; only the rest need an SVD;
 * a singular block whose delta lies farther from its range than twice the
   simplex's phase-1 tolerance is infeasible without any LP;
 * every other singular block reaches its target along a whole family of
@@ -18,6 +21,9 @@ of such blocks at once:
   nonnegative positive and negative part, so that problem lands directly in
   the bounded-variable equality form of the embedded solver with exactly
   one equality row per target line.
+
+NumPy's stacked ``det``, ``svd`` and ``solve`` call LAPACK once per block, so
+a block's numbers, and every output bit, do not depend on the chunk.
 
 Deltas follow one of three strategies (fixed MW, fraction of the line limit,
 scaled reactance) and always take the canonical positive sign; efforts and
@@ -36,6 +42,8 @@ import numpy as np
 from .dcsens import PtdfMatrix, cv_matrix, node_pairs
 from .netmodel import InputError, Network
 from .simplex import FEAS_TOL, PIVOT_TOL, LpProblem, SimplexNumericalError, solve_lp
+
+_EFFORT_CHUNK = 1 << 11    # k x k blocks per _efforts call; bounds the stacked temporaries
 
 CONSTANT_MW = "constant"
 OF_LIMIT = "fraction-of-limit"
@@ -125,30 +133,45 @@ def _efforts(blocks: np.ndarray, deltas: np.ndarray, p_dc_max: float) -> np.ndar
     """Effort per square block; NaN where the block cannot reach its delta.
 
     ``blocks`` is (s, k, k), the CV rows of k target lines for k controllers
-    in each of s target sets, and ``deltas`` is (s, k).  A regular block is
-    solved in closed form.  Both paths share one rule at the cap: setpoints
-    are within it when max |P_DC| <= p_dc_max + FEAS_TOL * (1 + max |P_DC|),
-    the bound test the simplex certifies every effort LP point with.  So a
-    setpoint that meets the cap up to roundoff counts as feasible, as the
-    effort LP counts it.  A singular block is infeasible when
+    in each of s target sets, and ``deltas`` is (s, k).  A block is regular
+    when its smallest singular value exceeds PIVOT_TOL * max(largest, 1).
+    Most blocks clear that test without an SVD: every square block has
+    sigma_min >= |det| / F^(k-1) and sigma_max <= F, with F its Frobenius
+    norm, so |det| / F^(k-1) > 2 * PIVOT_TOL * max(F, 1) implies it, with a
+    margin far wider than the roundoff of the LU determinant and of the
+    singular values.  Only the blocks left over (an all-zero block gives NaN
+    and is one of them) are classified by their singular values.
+
+    A regular block is solved in closed form.  Both paths share one rule at
+    the cap: setpoints are within it when max |P_DC| <= p_dc_max + FEAS_TOL
+    * (1 + max |P_DC|), the bound test the simplex certifies every effort LP
+    point with.  So a setpoint that meets the cap up to roundoff counts as
+    feasible, as the effort LP counts it.  A singular block is infeasible when
     the 2-norm of its delta's component off the block's range exceeds
     2 * FEAS_TOL * (1 + max |delta|): phase 1 of the LP minimises the 1-norm
     residual, which is no smaller, so the LP would report it infeasible too.
     The remaining singular blocks are handed to the effort LP.
     """
     check_p_dc_max(p_dc_max)
+    k = blocks.shape[-1]
     efforts = np.full(blocks.shape[0], np.nan)
-    u, sigma = np.linalg.svd(blocks)[:2]
+    frob = np.linalg.norm(blocks, axis=(1, 2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bound = np.abs(np.linalg.det(blocks)) / frob ** (k - 1)
+    regular = bound > 2.0 * PIVOT_TOL * np.maximum(frob, 1.0)
+    unclear = np.flatnonzero(~regular)
+    u, sigma = np.linalg.svd(blocks[unclear])[:2]
     small = sigma <= PIVOT_TOL * np.maximum(sigma[:, :1], 1.0)
-    regular = ~small[:, -1]
+    regular[unclear] = ~small[:, -1]
     if regular.any():
         x = np.abs(np.linalg.solve(blocks[regular], deltas[regular][..., None])[..., 0])
         peak = x.max(axis=1)
         within = peak <= p_dc_max + FEAS_TOL * (1.0 + peak)
         efforts[regular] = np.where(within, x.sum(axis=1), np.nan)
-    off_range = np.sqrt((np.einsum("sji,sj->si", u, deltas) ** 2 * small).sum(axis=1))
-    reachable = off_range <= 2.0 * FEAS_TOL * (1.0 + np.abs(deltas).max(axis=1))
-    for i in np.flatnonzero(~regular & reachable):
+    rest = deltas[unclear]
+    off_range = np.sqrt((np.einsum("sji,sj->si", u, rest) ** 2 * small).sum(axis=1))
+    reachable = off_range <= 2.0 * FEAS_TOL * (1.0 + np.abs(rest).max(axis=1))
+    for i in unclear[small[:, -1] & reachable]:
         effort = _effort(blocks[i], deltas[i], p_dc_max)
         if effort is not None:
             efforts[i] = effort
@@ -181,7 +204,10 @@ def place_lp_next(net: Network, mat: PtdfMatrix,
 
     Each candidate is scored by the summed effort over every
     C(n_L, k) target set with k = len(existing) + 1; infeasible sets are
-    counted, and a candidate with no feasible set at all ranks last.
+    counted, and a candidate with no feasible set at all ranks last.  The
+    blocks of several candidates go to ``_efforts`` as one stack, the
+    existing controllers' columns first and the candidate's last; each
+    candidate's feasible efforts are summed in target-set order.
     """
     pairs = node_pairs(mat.bus_ids)
     if not pairs:
@@ -190,20 +216,28 @@ def place_lp_next(net: Network, mat: PtdfMatrix,
     line_ids = mat.line_ids
     target_sets = np.array(list(itertools.combinations(range(len(line_ids)), k)),
                            dtype=int).reshape(-1, k)
+    n_sets = len(target_sets)
     deltas = strategy.deltas(net, line_ids)[target_sets]
-    existing_cols = list(cv_matrix(mat, existing))
+    fixed = cv_matrix(mat, existing).T[target_sets]       # (sets, k, k - 1)
+    candidates = cv_matrix(mat, pairs)
+    efforts = np.empty((len(pairs), n_sets))
+    step = max(1, _EFFORT_CHUNK // max(n_sets, 1))
+    for lo in range(0, len(pairs), step):
+        last = candidates[lo:lo + step, target_sets, None]   # (chunk, sets, k, 1)
+        blocks = np.concatenate(
+            [np.broadcast_to(fixed, last.shape[:2] + fixed.shape[1:]), last], axis=-1)
+        chunk = _efforts(blocks.reshape(-1, k, k),
+                         np.broadcast_to(deltas, last.shape[:3]).reshape(-1, k), p_dc_max)
+        efforts[lo:lo + step] = chunk.reshape(len(last), n_sets)
 
-    def score(vec: np.ndarray) -> EffortResult:
-        cols = np.column_stack(existing_cols + [vec])
-        efforts = _efforts(cols[target_sets], deltas, p_dc_max)
-        feasible = efforts[~np.isnan(efforts)]
+    results = []
+    for row in efforts:
+        feasible = row[~np.isnan(row)]
         # np.cumsum adds in target-set order, one float addition at a time
         total = float(np.cumsum(feasible)[-1]) if feasible.size else 0.0
-        return EffortResult(total_effort=total,
-                            infeasible_sets=len(efforts) - feasible.size,
-                            lp_count=len(efforts))
-
-    results = [score(vec) for vec in cv_matrix(mat, pairs)]
+        results.append(EffortResult(total_effort=total,
+                                    infeasible_sets=n_sets - feasible.size,
+                                    lp_count=n_sets))
     ranked = sorted(zip(pairs, results),
                     key=lambda item: (item[1].all_infeasible, item[1].total_effort, item[0]))
     return ranked

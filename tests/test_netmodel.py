@@ -321,6 +321,20 @@ def test_connected_components():
     assert {v.code for v in validate(net)} == {"disconnected"}
 
 
+def test_line_lookup_by_id():
+    """line_by_id reads every line, out-of-service ones included; an unknown
+    id is an input error there as in line_row."""
+    net = Network(
+        buses=(Bus(1, True), Bus(2)),
+        lines=(Line(1, 1, 2, 0.2), Line(2, 1, 2, 0.3, in_service=False)),
+    )
+    assert net.line_by_id(2).reactance == 0.3 and not net.line_by_id(2).in_service
+    with pytest.raises(InputError, match="^no line with id 99$"):
+        net.line_by_id(99)
+    with pytest.raises(InputError, match="^no in-service line with id 2$"):
+        net.line_row(2)
+
+
 # ---------------------------------------------------------------------------
 # merge_parallel_lines
 

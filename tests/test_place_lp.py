@@ -1,5 +1,6 @@
 """Delta strategies, control-effort programs, and greedy LP placement."""
 
+import itertools
 import math
 
 import numpy as np
@@ -8,20 +9,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from gridctrl import place_lp
-from gridctrl.dcsens import cv, cv_matrix, ptdf
+from gridctrl import place_lp, simplex
+from gridctrl.dcsens import cv, cv_matrix, node_pairs, ptdf
 from gridctrl.netmodel import Bus, InputError, Line, Network
-from gridctrl.simplex import FEAS_TOL
+from gridctrl.simplex import FEAS_TOL, PIVOT_TOL, SimplexNumericalError
 from gridctrl.place_lp import (
     DeltaStrategy,
     EffortResult,
     _effort,
     _efforts,
+    check_p_dc_max,
     compare_placements,
     control_effort,
     place_lp_next,
     run_lp_placement,
 )
+from test_dcsens import multigraphs
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -143,12 +146,21 @@ def test_effort_zero_cv_target_infeasible(wheatstone):
 
 
 @st.composite
-def effort_stacks(draw):
+def effort_stacks(draw, near=False):
     """(blocks, deltas, p_dc_max): integer k x k blocks of a drawn rank, so a
     rank-deficient block is exactly singular and a regular one is far from
-    singular, each with a delta either inside its range or drawn freely."""
+    singular, each with a delta either inside its range or drawn freely.
+
+    With ``near`` the stack may also be scaled by 1e-6 or 1e3, and a
+    rank-deficient block may be pushed off singularity along its smallest
+    singular pair by 0.3, 1 or 3 times PIVOT_TOL * max(sigma_max, 1): just
+    below, at and just above the regularity test."""
     k = draw(st.integers(1, 3))
     ints = st.integers(-2, 2)
+    scales = st.floats(0.05, 2.0)
+    if near:
+        scales = st.one_of(scales, st.sampled_from([1e-6, 1e3]))
+    scale = draw(scales)
     blocks, deltas = [], []
     for _ in range(draw(st.integers(1, 6))):
         rank = draw(st.integers(0, k))
@@ -159,11 +171,16 @@ def effort_stacks(draw):
             delta = block @ np.array(draw(st.lists(ints, min_size=k, max_size=k)))
         else:
             delta = np.array(draw(st.lists(st.integers(1, 5), min_size=k, max_size=k)))
+        block = scale * block
+        if near and rank < k:
+            u, sigma, vt = np.linalg.svd(block)
+            nudge = draw(st.sampled_from([0.0, 0.3, 1.0, 3.0]))
+            block = block + (nudge * PIVOT_TOL * max(sigma[0], 1.0)
+                             * np.outer(u[:, -1], vt[-1]))
         blocks.append(block)
         deltas.append(delta)
-    scale = draw(st.floats(0.05, 2.0))
     p_dc_max = draw(st.one_of(st.just(math.inf), st.floats(0.1, 100.0)))
-    return scale * np.array(blocks, dtype=float), np.array(deltas, dtype=float), p_dc_max
+    return np.array(blocks, dtype=float), np.array(deltas, dtype=float), p_dc_max
 
 
 @settings(max_examples=120, deadline=None)
@@ -353,6 +370,151 @@ def test_compare_placements_empty():
 def test_compare_placements_length_check():
     with pytest.raises(ValueError, match="same length"):
         compare_placements([(1, 2)], [])
+
+
+# ---------------------------------------------------------------------------
+# reference: the effort scoring that ran an SVD on every block and scored one
+# candidate per call, verbatim; the stacked, screened code must give its bits
+
+
+def _reference_efforts(blocks: np.ndarray, deltas: np.ndarray, p_dc_max: float) -> np.ndarray:
+    check_p_dc_max(p_dc_max)
+    efforts = np.full(blocks.shape[0], np.nan)
+    u, sigma = np.linalg.svd(blocks)[:2]
+    small = sigma <= PIVOT_TOL * np.maximum(sigma[:, :1], 1.0)
+    regular = ~small[:, -1]
+    if regular.any():
+        x = np.abs(np.linalg.solve(blocks[regular], deltas[regular][..., None])[..., 0])
+        peak = x.max(axis=1)
+        within = peak <= p_dc_max + FEAS_TOL * (1.0 + peak)
+        efforts[regular] = np.where(within, x.sum(axis=1), np.nan)
+    off_range = np.sqrt((np.einsum("sji,sj->si", u, deltas) ** 2 * small).sum(axis=1))
+    reachable = off_range <= 2.0 * FEAS_TOL * (1.0 + np.abs(deltas).max(axis=1))
+    for i in np.flatnonzero(~regular & reachable):
+        effort = _effort(blocks[i], deltas[i], p_dc_max)
+        if effort is not None:
+            efforts[i] = effort
+    return efforts
+
+
+def _reference_place_lp_next(net, mat, existing, strategy, p_dc_max=math.inf):
+    pairs = node_pairs(mat.bus_ids)
+    if not pairs:
+        raise InputError("case has no node pair to place")
+    k = len(existing) + 1
+    line_ids = mat.line_ids
+    target_sets = np.array(list(itertools.combinations(range(len(line_ids)), k)),
+                           dtype=int).reshape(-1, k)
+    deltas = strategy.deltas(net, line_ids)[target_sets]
+    existing_cols = list(cv_matrix(mat, existing))
+
+    def score(vec: np.ndarray) -> EffortResult:
+        cols = np.column_stack(existing_cols + [vec])
+        efforts = _reference_efforts(cols[target_sets], deltas, p_dc_max)
+        feasible = efforts[~np.isnan(efforts)]
+        # np.cumsum adds in target-set order, one float addition at a time
+        total = float(np.cumsum(feasible)[-1]) if feasible.size else 0.0
+        return EffortResult(total_effort=total,
+                            infeasible_sets=len(efforts) - feasible.size,
+                            lp_count=len(efforts))
+
+    results = [score(vec) for vec in cv_matrix(mat, pairs)]
+    ranked = sorted(zip(pairs, results),
+                    key=lambda item: (item[1].all_infeasible, item[1].total_effort, item[0]))
+    return ranked
+
+
+def _bits(ranked):
+    return [(pair, r.total_effort.hex(), r.infeasible_sets, r.lp_count)
+            for pair, r in ranked]
+
+
+def _outcome(fn):
+    """fn's result, or the effort LP's numerical failure, which both codes
+    must then raise alike."""
+    try:
+        return fn()
+    except SimplexNumericalError as exc:
+        return f"SimplexNumericalError: {exc}"
+
+
+@settings(max_examples=200, deadline=None)
+@given(effort_stacks(near=True))
+def test_determinant_screen_clears_only_svd_regular_blocks(stack):
+    """A block that skips the SVD is one the SVD test calls regular, and the
+    efforts are the reference's bits.  The stacks include blocks right at the
+    regularity threshold and blocks scaled by 1e-6 and 1e3."""
+    blocks, deltas, p_dc_max = stack
+    sigma = np.linalg.svd(blocks, compute_uv=False)
+    svd_regular = sigma[:, -1] > PIVOT_TOL * np.maximum(sigma[:, 0], 1.0)
+    seen = set()
+    real_svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        seen.update(b.tobytes() for b in a)
+        return real_svd(a, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        # these near-singular LPs check bits, not the solver: keep them out
+        # of the HiGHS replay
+        mp.setattr(place_lp, "solve_lp", simplex.solve_lp)
+        want = _outcome(lambda: _reference_efforts(blocks, deltas, p_dc_max).tobytes())
+        mp.setattr(np.linalg, "svd", spy)
+        got = _outcome(lambda: _efforts(blocks, deltas, p_dc_max).tobytes())
+    for block, regular in zip(blocks, svd_regular):
+        assert block.tobytes() in seen or regular
+    assert got == want
+
+
+def test_screen_sends_only_singular_blocks_to_the_svd(fixture10):
+    """fixture10 step 2 after (1, 8): 45 candidates x 91 target sets.  Every
+    regular block has sigma_min >= 1e-4 here, far above the threshold, so
+    the determinant bound clears all of them and the SVD sees exactly the
+    singular ones, the 91 blocks of the duplicate (1, 8) among them."""
+    mat = ptdf(fixture10)
+    strat = DeltaStrategy.constant(100.0)
+    target_sets = np.array(list(itertools.combinations(range(len(mat.line_ids)), 2)))
+    blocks = np.concatenate([np.column_stack([cv(mat, 1, 8).values, vec])[target_sets]
+                             for vec in cv_matrix(mat, node_pairs(mat.bus_ids))])
+    sigma = np.linalg.svd(blocks, compute_uv=False)
+    singular = int((sigma[:, -1] <= PIVOT_TOL * np.maximum(sigma[:, 0], 1.0)).sum())
+    handed = []
+    real_svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        handed.append(len(a))
+        return real_svd(a, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "svd", spy)
+        ranked = place_lp_next(fixture10, mat, [(1, 8)], strat)
+    assert sum(handed) == singular >= 91
+    assert _bits(ranked) == _bits(_reference_place_lp_next(fixture10, mat, [(1, 8)], strat))
+
+
+@settings(max_examples=60, deadline=None)
+@given(net=multigraphs(n_bus=(2, 7)), data=st.data())
+def test_place_lp_next_matches_reference_bits(net, data):
+    """Same pairs, counts and effort bits as the per-candidate reference for
+    k = 1..3 on drawn grids (parallel lines and repeated controllers give
+    singular blocks), with the default chunk and with chunks of a few
+    blocks."""
+    pairs = node_pairs(net.bus_ids)
+    existing = data.draw(st.lists(st.sampled_from(pairs), max_size=2), label="existing")
+    strategy = data.draw(st.sampled_from([DeltaStrategy.constant(100.0),
+                                          DeltaStrategy.scaled_reactance(1000.0)]))
+    p_dc_max = data.draw(st.one_of(st.sampled_from([math.inf, 50.0, 300.0, 2000.0]),
+                                   st.floats(0.0, 1e4)), label="p_dc_max")
+    chunk = data.draw(st.sampled_from([place_lp._EFFORT_CHUNK, 1, 3, 40]), label="chunk")
+    mat = ptdf(net)
+    with pytest.MonkeyPatch.context() as mp:
+        # bits of drawn, possibly ill-conditioned grids: not HiGHS material
+        mp.setattr(place_lp, "solve_lp", simplex.solve_lp)
+        want = _outcome(lambda: _bits(_reference_place_lp_next(
+            net, mat, existing, strategy, p_dc_max)))
+        mp.setattr(place_lp, "_EFFORT_CHUNK", chunk)
+        got = _outcome(lambda: _bits(place_lp_next(net, mat, existing, strategy, p_dc_max)))
+    assert got == want
 
 
 # ---------------------------------------------------------------------------

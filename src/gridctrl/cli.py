@@ -208,16 +208,17 @@ def _cmd_ptdf(args) -> int:
 
 
 def _cmd_cv(args) -> int:
-    net = _load(args)
-    mat = ptdf(net)
+    # the options are checked before the case is read, the case before ptdf
     if args.all == (args.pair is not None):
         raise InputError("choose exactly one of --pair M,N or --all")
+    if args.pair is not None and args.pair[0] == args.pair[1]:
+        raise InputError("pair buses must be distinct")
+    net = _load(args)
     if args.pair is not None:
         m, n = args.pair
-        if m not in mat.bus_ids or n not in mat.bus_ids:
+        if m not in net.bus_ids or n not in net.bus_ids:
             raise InputError(f"unknown bus in pair {m},{n}")
-        if m == n:
-            raise InputError("pair buses must be distinct")
+    mat = ptdf(net)
     pairs = node_pairs(mat.bus_ids) if args.all else [args.pair]
     vectors = cv_matrix(mat, pairs)
     if args.output == "json":

@@ -19,7 +19,6 @@ vector is to the span of the selected ones (cos-phi of the projection).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -82,36 +81,48 @@ def _average_ranks(*keys) -> np.ndarray:
     return ranks
 
 
-def orthogonality(basis: np.ndarray, vectors: np.ndarray) -> list[float]:
+def orthogonality(basis: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """cos-phi of each row of ``vectors`` against span(basis columns):
-    0 orthogonal, 1 inside.  The basis is factored once for all rows."""
+    0 orthogonal, 1 inside.  The basis is factored once for all rows.
+
+    Rows go in blocks of ``_CV_CHUNK``, which bounds the temporaries.  A
+    block's norms and projections are stacked matmuls, and numpy's matmul
+    gives each stack item the BLAS dot or gemv call that
+    ``np.linalg.norm(v)`` and ``q @ (q.T @ v)`` make on the row alone, so
+    cos-phi has the same bits whatever the blocks.
+    """
     basis = np.asarray(basis, dtype=float)
-    vectors = np.asarray(vectors, dtype=float)
+    vectors = np.ascontiguousarray(vectors, dtype=float)
     if basis.ndim != 2 or vectors.ndim != 2 or basis.shape[0] != vectors.shape[1]:
         raise ValueError("basis must be (n, k) and vectors (c, n)")
     q, r = np.linalg.qr(basis)
     diag = np.abs(np.diag(r))
     if diag.size == 0 or diag.min() <= 1e-8 * max(diag.max(), 1.0):
         raise ValueError("basis columns are rank deficient")
-    norms = [float(np.linalg.norm(v)) for v in vectors]
-    if 0.0 in norms:
-        raise ValueError("cannot score a zero vector")
-    return [min(float(np.linalg.norm(q @ (q.T @ v))) / norm_v, 1.0)
-            for v, norm_v in zip(vectors, norms)]
+    cos = np.empty(len(vectors))
+    for s in range(0, len(vectors), _CV_CHUNK):
+        rows = vectors[s:s + _CV_CHUNK, :, None]                  # (b, n, 1)
+        norms = np.sqrt(np.matmul(rows.transpose(0, 2, 1), rows))
+        if not norms.all():
+            raise ValueError("cannot score a zero vector")
+        proj = np.matmul(q, np.matmul(q.T, rows))
+        reach = np.sqrt(np.matmul(proj.transpose(0, 2, 1), proj))
+        cos[s:s + _CV_CHUNK] = np.minimum(reach / norms, 1.0)[:, 0, 0]
+    return cos
 
 
 def _dedupe_directions(vectors: list[np.ndarray]) -> list[np.ndarray]:
     """Drop vectors equal to an earlier one up to sign (relative 1e-9)."""
     kept: list[np.ndarray] = []
     for v in vectors:
-        scale = max(float(np.abs(v).max()), 1e-300)
-        dup = any(
-            np.allclose(v, u, rtol=0.0, atol=1e-9 * scale)
-            or np.allclose(v, -u, rtol=0.0, atol=1e-9 * scale)
-            for u in kept
-        )
-        if not dup:
-            kept.append(np.asarray(v, dtype=float))
+        v = np.asarray(v, dtype=float)
+        atol = 1e-9 * max(float(np.abs(v).max()), 1e-300)
+        if kept:
+            stack = np.array(kept)
+            if ((np.abs(v - stack).max(axis=1) <= atol).any()
+                    or (np.abs(v + stack).max(axis=1) <= atol).any()):
+                continue
+        kept.append(v)
     return kept
 
 
@@ -135,6 +146,15 @@ def check_orthant_size(j: int, n_lines: int) -> None:
                          f"over the {ORTHANT_LIMIT_BYTES >> 20} MiB limit")
 
 
+def _sign_rows(j: int) -> np.ndarray:
+    """The 3^j - 1 nonzero {-1, 0, +1} rows of length j, in
+    ``itertools.product((-1, 0, 1), repeat=j)`` order.  They are C-ordered:
+    the layout picks the dgemm call that combines them, and so the bits of
+    every orthant volume."""
+    signs = np.indices((3,) * j).reshape(j, -1).T - 1.0
+    return np.ascontiguousarray(np.delete(signs, (3 ** j - 1) // 2, axis=0))
+
+
 def orthant_volume_sum(selected: list[np.ndarray], candidate: np.ndarray,
                        eps: float = VOLUME_EPS) -> VolumeScore:
     """Joint score of selected CVs plus one candidate (steps 7-12)."""
@@ -143,9 +163,7 @@ def orthant_volume_sum(selected: list[np.ndarray], candidate: np.ndarray,
                               + [np.asarray(candidate, dtype=float)])
     base = np.column_stack(dirs)                      # (n_L, j)
     j = base.shape[1]
-    signs = np.array([s for s in itertools.product((-1.0, 0.0, 1.0), repeat=j)
-                      if any(c != 0.0 for c in s)])
-    combos = base @ signs.T                           # (n_L, 3^j - 1)
+    combos = base @ _sign_rows(j).T                   # (n_L, 3^j - 1)
     scale = max(float(np.abs(combos).max()), 1e-300)
     keep = np.abs(combos).max(axis=0) > 1e-12 * scale  # exact cancellations out
     combos = combos[:, keep]
@@ -210,7 +228,7 @@ def run_cv_placement(mat: PtdfMatrix, count: int,
         free[chosen] = False
         if not free.any():
             raise InputError("all node pairs are already placed")
-        cos = np.array(orthogonality(vectors[chosen].T, vectors))
+        cos = orthogonality(vectors[chosen].T, vectors)
         outside = free & (cos < _SPAN_COS)     # at most n_B - 1 pairs get placed
         if not outside.any():
             raise InputError("every remaining pair lies in the span of the basis")

@@ -418,6 +418,25 @@ def test_cv_needs_exactly_one_selector(capsys):
         assert "choose exactly one" in err
 
 
+def test_cv_checks_its_options_before_reading_the_case(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    code, out, err = cli(capsys, "cv", str(bad))
+    assert (code, out) == (2, "")
+    assert err == "error: choose exactly one of --pair M,N or --all\n"
+    code, out, err = cli(capsys, "cv", str(tmp_path / "missing.json"), "--pair", "1,1")
+    assert (code, out) == (2, "")
+    assert err == "error: pair buses must be distinct\n"
+
+
+def test_cv_checks_the_pair_before_ptdf(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr("gridctrl.cli.ptdf", lambda net: calls.append(net))
+    code, _out, err = cli(capsys, "cv", FIXTURE10, "--pair", "1,99")
+    assert (code, err) == (2, "error: unknown bus in pair 1,99\n")
+    assert calls == []
+
+
 def test_cv_rejects_bad_pairs(capsys):
     code, _out, err = cli(capsys, "cv", FIXTURE10, "--pair", "1,99")
     assert code == 2 and "unknown bus" in err
@@ -858,7 +877,8 @@ def test_threaded_runs_are_byte_identical():
                  ["sc-opf", FIXTURE10, "--place", "1,8", "--output", "json"],
                  ["sc-opf", FIXTURE10, "--mode", "corrective", "--place", "1,8",
                   "--output", "json"],
-                 ["cos-curve", FIXTURE10, "--max", "3", "--output", "json"]):
+                 ["cos-curve", FIXTURE10, "--max", "3", "--output", "json"],
+                 ["place-cv", CASE14, "--count", "6", "--output", "json"]):
         first = _run_cli_subprocess(argv, threads=2)
         second = _run_cli_subprocess(argv, threads=2)
         sequential = _run_cli_subprocess(argv, threads=1)

@@ -1,6 +1,8 @@
 """Conical-volume scoring, orthant aggregation, and greedy CV placement."""
 
+import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +17,10 @@ from gridctrl.netmodel import Bus, InputError, Line, Network
 from gridctrl.place_cv import (
     VOLUME_EPS,
     CandidateRow,
+    VolumeScore,
+    _dedupe_directions,
+    _log_sum_exp,
+    _sign_rows,
     check_orthant_size,
     metric_report,
     orthant_volume_sum,
@@ -275,6 +281,192 @@ def test_orthant_past_limit_is_refused_before_any_work(fixture10, monkeypatch):
     assert calls == []
     with pytest.raises(InputError, match=r"3\^2 - 1 sign combinations"):
         orthant_volume_sum([np.ones(14)], np.arange(14.0))
+
+
+# ---------------------------------------------------------------------------
+# bitwise references: the one-row-at-a-time forms that the blocked code
+# replaced, kept verbatim; the blocked code must match them bit for bit
+
+
+def _orthogonality_per_row(basis, vectors):
+    basis = np.asarray(basis, dtype=float)
+    vectors = np.asarray(vectors, dtype=float)
+    if basis.ndim != 2 or vectors.ndim != 2 or basis.shape[0] != vectors.shape[1]:
+        raise ValueError("basis must be (n, k) and vectors (c, n)")
+    q, r = np.linalg.qr(basis)
+    diag = np.abs(np.diag(r))
+    if diag.size == 0 or diag.min() <= 1e-8 * max(diag.max(), 1.0):
+        raise ValueError("basis columns are rank deficient")
+    norms = [float(np.linalg.norm(v)) for v in vectors]
+    if 0.0 in norms:
+        raise ValueError("cannot score a zero vector")
+    return [min(float(np.linalg.norm(q @ (q.T @ v))) / norm_v, 1.0)
+            for v, norm_v in zip(vectors, norms)]
+
+
+def _dedupe_directions_allclose(vectors):
+    kept = []
+    for v in vectors:
+        scale = max(float(np.abs(v).max()), 1e-300)
+        dup = any(
+            np.allclose(v, u, rtol=0.0, atol=1e-9 * scale)
+            or np.allclose(v, -u, rtol=0.0, atol=1e-9 * scale)
+            for u in kept
+        )
+        if not dup:
+            kept.append(np.asarray(v, dtype=float))
+    return kept
+
+
+def _signs_itertools(j):
+    return np.array([s for s in itertools.product((-1.0, 0.0, 1.0), repeat=j)
+                     if any(c != 0.0 for c in s)])
+
+
+def _orthant_volume_sum_reference(selected, candidate, eps=VOLUME_EPS):
+    check_orthant_size(len(selected) + 1, len(candidate))
+    dirs = _dedupe_directions_allclose([np.asarray(v, dtype=float) for v in selected]
+                                       + [np.asarray(candidate, dtype=float)])
+    base = np.column_stack(dirs)
+    j = base.shape[1]
+    signs = _signs_itertools(j)
+    combos = base @ signs.T
+    scale = max(float(np.abs(combos).max()), 1e-300)
+    keep = np.abs(combos).max(axis=0) > 1e-12 * scale
+    combos = combos[:, keep]
+    if combos.shape[1] == 0:
+        raise ValueError("every sign combination cancels to zero")
+    packed = np.packbits(combos >= 0.0, axis=0)
+    _, group = np.unique(packed.T, axis=0, return_inverse=True)
+    mags = np.abs(combos)
+    extremes = np.zeros((int(group.max()) + 1, combos.shape[0]))
+    np.maximum.at(extremes, group, mags.T)
+    clamped = np.maximum(extremes, eps)
+    logs = np.log(clamped).sum(axis=1)
+    dims = (extremes > eps).sum(axis=1)
+    return VolumeScore(log_volume=_log_sum_exp(list(logs)),
+                       dimension=int(dims.max()))
+
+
+def _placement_with_references(mat, count, **kwargs):
+    """run_cv_placement with the reference cos-phi and orthant scores."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(place_cv, "orthogonality",
+                   lambda b, v: np.array(_orthogonality_per_row(b, v)))
+        mp.setattr(place_cv, "orthant_volume_sum", _orthant_volume_sum_reference)
+        return run_cv_placement(mat, count, **kwargs)
+
+
+def _assert_orthogonality_bitwise(basis, vectors):
+    assert np.array_equal(orthogonality(basis, vectors),
+                          np.array(_orthogonality_per_row(basis, vectors)))
+
+
+@pytest.mark.parametrize("chunk", [1, 7, place_cv._CV_CHUNK])
+@pytest.mark.parametrize("name", ["triangle3", "congested3", "fixture10", "case14"])
+def test_blocked_scores_match_per_row_references_on_bundled_cases(
+        request, monkeypatch, name, chunk):
+    monkeypatch.setattr(place_cv, "_CV_CHUNK", chunk)
+    mat = ptdf(request.getfixturevalue(name))
+    vectors = cv_matrix(mat, node_pairs(mat.bus_ids))
+    count = min(6, len(mat.bus_ids) - 1)
+    for kwargs in ({}, {"cos_threshold": 1.0, "candidate_cap": 3}):
+        placements, tables = run_cv_placement(mat, count, **kwargs)
+        assert (placements, tables) == _placement_with_references(mat, count, **kwargs)
+    index = {p: i for i, p in enumerate(node_pairs(mat.bus_ids))}
+    for k in range(1, count + 1):
+        _assert_orthogonality_bitwise(vectors[[index[p] for p in placements[:k]]].T,
+                                      vectors)
+
+
+@settings(max_examples=40, deadline=None)
+@given(net=connected_grids(), data=st.data())
+def test_blocked_scores_match_per_row_references_on_drawn_grids(net, data):
+    mat = ptdf(net)
+    pairs = node_pairs(net.bus_ids)
+    vectors = cv_matrix(mat, pairs)
+    chosen = data.draw(st.lists(st.sampled_from(range(len(pairs))), min_size=1,
+                                max_size=min(4, len(net.bus_ids) - 1), unique=True))
+    count = data.draw(st.integers(1, min(5, len(net.bus_ids) - 1)))
+    for chunk in (1, 7, place_cv._CV_CHUNK):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(place_cv, "_CV_CHUNK", chunk)
+            try:
+                want = _orthogonality_per_row(vectors[chosen].T, vectors)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                    orthogonality(vectors[chosen].T, vectors)
+            else:
+                assert np.array_equal(orthogonality(vectors[chosen].T, vectors),
+                                      np.array(want))
+            try:
+                want = _placement_with_references(mat, count)
+            except ValueError as exc:
+                with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                    run_cv_placement(mat, count)
+            else:
+                assert run_cv_placement(mat, count) == want
+
+
+@pytest.mark.parametrize("chunk,zero_row", [(1, 0), (7, 15), (7, 19),
+                                            (place_cv._CV_CHUNK, 500)])
+def test_orthogonality_zero_vector_in_a_later_block(monkeypatch, chunk, zero_row):
+    monkeypatch.setattr(place_cv, "_CV_CHUNK", chunk)
+    rng = np.random.default_rng(11)
+    basis = rng.normal(size=(9, 3))
+    vectors = rng.normal(size=(max(20, zero_row + 1), 9))
+    _assert_orthogonality_bitwise(basis, vectors)
+    vectors[zero_row] = 0.0
+    for scorer in (orthogonality, _orthogonality_per_row):
+        with pytest.raises(ValueError, match="^cannot score a zero vector$"):
+            scorer(basis, vectors)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, place_cv._CV_CHUNK])
+def test_orthogonality_matches_per_row_on_random_bases(monkeypatch, chunk):
+    monkeypatch.setattr(place_cv, "_CV_CHUNK", chunk)
+    rng = np.random.default_rng(5)
+    for n, k, c in ((9, 1, 500), (9, 4, 500), (233, 3, 40), (5, 5, 9)):
+        _assert_orthogonality_bitwise(rng.normal(size=(n, k)), rng.normal(size=(c, n)))
+
+
+@pytest.mark.parametrize("j", range(1, 7))
+def test_sign_rows_match_itertools(j):
+    signs = _sign_rows(j)
+    assert np.array_equal(signs, _signs_itertools(j))
+    assert signs.flags.c_contiguous
+
+
+@pytest.mark.parametrize("j", range(1, 7))
+def test_orthant_volume_sum_matches_reference(fixture10, j):
+    mat = ptdf(fixture10)
+    vectors = cv_matrix(mat, node_pairs(mat.bus_ids))
+    rng = np.random.default_rng(j)
+    drawn = [vectors[i] for i in rng.choice(len(vectors), size=j, replace=False)]
+    random = list(rng.normal(size=(j, 14)))
+    for selected in (drawn[:-1], random[:-1]):
+        v = selected[0] if selected else drawn[-1]
+        for candidate in (drawn[-1], random[-1], v, -v, v * (1 + 1e-12), 2.0 * v):
+            for basis in (selected, selected[::-1], [*selected, -v][:j - 1]):
+                assert (orthant_volume_sum(basis, candidate)
+                        == _orthant_volume_sum_reference(basis, candidate))
+
+
+def test_dedupe_directions_matches_allclose():
+    rng = np.random.default_rng(2)
+    v, w = rng.normal(size=(2, 6))
+    tiny = np.full(6, 1e-300)
+    # |v - edge| is exactly the tolerance, 1e-9 * max|v|, in its last component
+    axis, edge = np.eye(6)[0], np.eye(6)[0] - 1e-9 * np.eye(6)[5]
+    for vectors in ([v], [v, v], [v, -v], [v, w, -v, w], [v, v + 1e-10 * np.abs(v).max()],
+                    [v, v + 2e-9 * np.abs(v).max()], [np.zeros(6), np.zeros(6), v],
+                    [tiny, -tiny, 3 * tiny], [w, v, -w, 2 * w, v * (1 - 1e-12)],
+                    [edge, axis], [-edge, axis], [edge, 0.5 * axis]):
+        got, want = _dedupe_directions(vectors), _dedupe_directions_allclose(vectors)
+        assert len(got) == len(want)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert len(_dedupe_directions([edge, axis])) == len(_dedupe_directions([-edge, axis])) == 1
+    assert len(_dedupe_directions([edge, 0.5 * axis])) == 2
 
 
 # ---------------------------------------------------------------------------

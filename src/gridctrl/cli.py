@@ -208,7 +208,8 @@ def _cmd_ptdf(args) -> int:
 
 
 def _cmd_cv(args) -> int:
-    # the options are checked before the case is read, the case before ptdf
+    # an option error shows whatever the case file holds, and no PTDF is built
+    # for a pair that names an unknown bus
     if args.all == (args.pair is not None):
         raise InputError("choose exactly one of --pair M,N or --all")
     if args.pair is not None and args.pair[0] == args.pair[1]:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import sys
@@ -385,7 +386,7 @@ def _solution_payload(net: Network, sol) -> dict:
     payload["cost"] = sol.cost
     payload["dispatch"] = [
         {"bus": g.bus, "p_mw": float(p)}
-        for g, p in zip(net.generators, sol.dispatch.p_gen)]
+        for g, p in zip(net.generators, sol.p_gen)]
     payload["flows"] = [
         {"line_id": lid, "flow_mw": float(f)}
         for lid, f in zip(sol.line_ids, sol.flows)]
@@ -457,13 +458,13 @@ def _cmd_sc_opf(args) -> int:
 def _cmd_cos_curve(args) -> int:
     net = _load(args)
     conts = args.contingency if args.contingency else None
-    curve = opf_mod.cos_curve(net, args.max, algorithm=args.algorithm,
-                              contingencies=conts, mode=args.mode,
-                              strategy=_strategy(args), p_dc_max=args.pdc_max,
-                              n_segments=args.segments)
+    points = opf_mod.cos_curve(net, args.max, algorithm=args.algorithm,
+                               contingencies=conts, mode=args.mode,
+                               strategy=_strategy(args), p_dc_max=args.pdc_max,
+                               n_segments=args.segments)
     if args.dat:
         _write_csv(args.dat, [("# controllers cos_percent",)]
-                   + [(f"{pt.count} {_cell(pt.cos_percent)}",) for pt in curve.points])
+                   + [(f"{pt.count} {_cell(pt.cos_percent)}",) for pt in points])
     if args.output == "json":
         _write_json(args.out, [
             {"count": pt.count,
@@ -471,129 +472,12 @@ def _cmd_cos_curve(args) -> int:
              # inf when C_OPF <= 0 and the CoS is not: JSON has no inf
              "cos_percent": pt.cos_percent if math.isfinite(pt.cos_percent) else None,
              "cos_abs": pt.cos_abs}
-            for pt in curve.points])
+            for pt in points])
         return 0
     _write_csv(args.out, [("count", "pair_m", "pair_n", "cos_percent", "cos_abs")]
                + [(pt.count, *(pt.pair or ("", "")), pt.cos_percent, pt.cos_abs)
-                  for pt in curve.points])
+                  for pt in points])
     return 0
-
-
-# --------------------------------------------------------------------------
-# argument grammar
-
-
-def _add_common(sub, default_output: str) -> None:
-    sub.add_argument("case", help="case file: MATPOWER subset if it ends in .m, else native JSON")
-    sub.add_argument("--output", choices=["csv", "json"], default=default_output)
-    sub.add_argument("--out", metavar="FILE", default=None,
-                     help="write output to FILE instead of stdout")
-
-
-def _add_lp_opts(sub) -> None:
-    sub.add_argument("--strategy", choices=sorted(_STRATEGY_FLAGS),
-                     default="const", help="target flow-change strategy")
-    sub.add_argument("--param", type=float, default=None,
-                     help="strategy parameter (MW, fraction, or scale)")
-    sub.add_argument("--pdc-max", type=float, default=math.inf,
-                     help="controller setpoint bound in MW (default unbounded)")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="gridctrl", description=__doc__,
-                     formatter_class=argparse.RawDescriptionHelpFormatter)
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    s = subs.add_parser("validate", help="report structural violations")
-    _add_common(s, "json")
-    s.set_defaults(fn=_cmd_validate)
-
-    s = subs.add_parser("ptdf", help="dump the PTDF matrix")
-    _add_common(s, "csv")
-    s.set_defaults(fn=_cmd_ptdf)
-
-    s = subs.add_parser("cv", help="dump controllability vectors")
-    _add_common(s, "csv")
-    s.add_argument("--pair", type=_parse_pair, metavar="M,N", default=None)
-    s.add_argument("--all", action="store_true", help="every node pair")
-    s.set_defaults(fn=_cmd_cv)
-
-    s = subs.add_parser("lodf", help="dump the line outage distribution matrix")
-    _add_common(s, "csv")
-    s.set_defaults(fn=_cmd_lodf)
-
-    s = subs.add_parser("bounds", help="controller-count bounds")
-    _add_common(s, "json")
-    s.set_defaults(fn=_cmd_bounds)
-
-    s = subs.add_parser("fix-flows",
-                        help="classify the flow system with lines pinned")
-    _add_common(s, "json")
-    s.add_argument("--fix", action="append", metavar="LINE=MW",
-                   help="pin one line's flow (repeatable)")
-    s.set_defaults(fn=_cmd_fix_flows)
-
-    s = subs.add_parser("place-cv", help="greedy placement by conical volume")
-    _add_common(s, "csv")
-    s.add_argument("--count", type=int, required=True)
-    s.add_argument("--cos-threshold", type=float, default=COS_THRESHOLD)
-    s.add_argument("--candidate-cap", type=int, default=CANDIDATE_CAP)
-    s.set_defaults(fn=_cmd_place_cv)
-
-    s = subs.add_parser("place-lp", help="greedy placement by LP control effort")
-    _add_common(s, "csv")
-    s.add_argument("--count", type=int, required=True)
-    _add_lp_opts(s)
-    s.set_defaults(fn=_cmd_place_lp)
-
-    s = subs.add_parser("compare-placements",
-                        help="run both placement algorithms and diff them")
-    _add_common(s, "csv")
-    s.add_argument("--count", type=int, required=True)
-    s.add_argument("--cos-threshold", type=float, default=COS_THRESHOLD)
-    s.add_argument("--candidate-cap", type=int, default=CANDIDATE_CAP)
-    _add_lp_opts(s)
-    s.set_defaults(fn=_cmd_compare)
-
-    s = subs.add_parser("opf", help="DC optimal power flow")
-    _add_common(s, "json")
-    s.add_argument("--place", type=_parse_pair, action="append", metavar="M,N",
-                   help="HVDC node pair (repeatable)")
-    s.add_argument("--pdc-max", type=float, default=math.inf)
-    s.add_argument("--segments", type=int, default=opf_mod.DEFAULT_SEGMENTS)
-    s.set_defaults(fn=_cmd_opf)
-
-    s = subs.add_parser("sc-opf", help="security-constrained DC OPF")
-    _add_common(s, "json")
-    s.add_argument("--mode", choices=[opf_mod.PREVENTIVE, opf_mod.CORRECTIVE],
-                   default=opf_mod.PREVENTIVE)
-    s.add_argument("--place", type=_parse_pair, action="append", metavar="M,N")
-    s.add_argument("--contingency", type=int, action="append", metavar="LINE",
-                   help="line outage to secure against (default: all non-bridges)")
-    s.add_argument("--pdc-max", type=float, default=math.inf)
-    s.add_argument("--segments", type=int, default=opf_mod.DEFAULT_SEGMENTS)
-    s.set_defaults(fn=_cmd_sc_opf)
-
-    s = subs.add_parser("cos-curve",
-                        help="cost of security vs controller count")
-    _add_common(s, "csv")
-    s.add_argument("--max", type=int, required=True,
-                   help="largest controller count on the curve")
-    s.add_argument("--algorithm", choices=["cv", "lp"], default="cv")
-    s.add_argument("--mode", choices=[opf_mod.PREVENTIVE, opf_mod.CORRECTIVE],
-                   default=opf_mod.CORRECTIVE)
-    s.add_argument("--contingency", type=int, action="append", metavar="LINE")
-    s.add_argument("--segments", type=int, default=opf_mod.DEFAULT_SEGMENTS)
-    s.add_argument("--dat", metavar="FILE", default=None,
-                   help="also write a gnuplot-ready two-column data file")
-    _add_lp_opts(s)
-    s.set_defaults(fn=_cmd_cos_curve)
-
-    s = subs.add_parser("metrics",
-                        help="1-norm vs conical-volume comparison table")
-    _add_common(s, "csv")
-    s.set_defaults(fn=_cmd_metrics)
-    return parser
 
 
 def _cmd_metrics(args) -> int:
@@ -617,10 +501,115 @@ def _cmd_metrics(args) -> int:
     return 0
 
 
+# --------------------------------------------------------------------------
+# argument grammar
+
+
+def _subcommand(subs, name: str, fn, default_output: str, help: str):
+    """A subparser for ``name`` with the case argument, the output options and
+    its handler ``fn``."""
+    sub = subs.add_parser(name, help=help)
+    sub.add_argument("case", help="case file: MATPOWER subset if it ends in .m, else native JSON")
+    sub.add_argument("--output", choices=["csv", "json"], default=default_output)
+    sub.add_argument("--out", metavar="FILE", default=None,
+                     help="write output to FILE instead of stdout")
+    sub.set_defaults(fn=fn)
+    return sub
+
+
+def _placement_opts(sub, cv: bool, lp: bool) -> None:
+    """--count, then the options of placement by conical volume and by LP effort."""
+    sub.add_argument("--count", type=int, required=True)
+    if cv:
+        sub.add_argument("--cos-threshold", type=float, default=COS_THRESHOLD)
+        sub.add_argument("--candidate-cap", type=int, default=CANDIDATE_CAP)
+    if lp:
+        _lp_opts(sub)
+
+
+def _lp_opts(sub) -> None:
+    sub.add_argument("--strategy", choices=sorted(_STRATEGY_FLAGS),
+                     default="const", help="target flow-change strategy")
+    sub.add_argument("--param", type=float, default=None,
+                     help="strategy parameter (MW, fraction, or scale)")
+    _pdc_max(sub)
+
+
+def _pdc_max(sub) -> None:
+    sub.add_argument("--pdc-max", type=float, default=math.inf,
+                     help="controller setpoint bound in MW (default unbounded)")
+
+
+def _segments(sub) -> None:
+    sub.add_argument("--segments", type=int, default=opf_mod.DEFAULT_SEGMENTS)
+
+
+def _opf_opts(sub) -> None:
+    sub.add_argument("--place", type=_parse_pair, action="append", metavar="M,N",
+                     help="HVDC node pair (repeatable)")
+    _pdc_max(sub)
+    _segments(sub)
+
+
+def _security_opts(sub, mode: str) -> None:
+    sub.add_argument("--mode", choices=[opf_mod.PREVENTIVE, opf_mod.CORRECTIVE],
+                     default=mode)
+    sub.add_argument("--contingency", type=int, action="append", metavar="LINE",
+                     help="line outage to secure against (default: all non-bridges)")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(prog="gridctrl", description=__doc__,
+                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    subs = parser.add_subparsers(dest="command", required=True)
+    _subcommand(subs, "validate", _cmd_validate, "json", "report structural violations")
+    _subcommand(subs, "ptdf", _cmd_ptdf, "csv", "dump the PTDF matrix")
+    s = _subcommand(subs, "cv", _cmd_cv, "csv", "dump controllability vectors")
+    s.add_argument("--pair", type=_parse_pair, metavar="M,N", default=None)
+    s.add_argument("--all", action="store_true", help="every node pair")
+    _subcommand(subs, "lodf", _cmd_lodf, "csv", "dump the line outage distribution matrix")
+    _subcommand(subs, "bounds", _cmd_bounds, "json", "controller-count bounds")
+    s = _subcommand(subs, "fix-flows", _cmd_fix_flows, "json",
+                    "classify the flow system with lines pinned")
+    s.add_argument("--fix", action="append", metavar="LINE=MW",
+                   help="pin one line's flow (repeatable)")
+    s = _subcommand(subs, "place-cv", _cmd_place_cv, "csv", "greedy placement by conical volume")
+    _placement_opts(s, cv=True, lp=False)
+    s = _subcommand(subs, "place-lp", _cmd_place_lp, "csv",
+                    "greedy placement by LP control effort")
+    _placement_opts(s, cv=False, lp=True)
+    s = _subcommand(subs, "compare-placements", _cmd_compare, "csv",
+                    "run both placement algorithms and diff them")
+    _placement_opts(s, cv=True, lp=True)
+    _opf_opts(_subcommand(subs, "opf", _cmd_opf, "json", "DC optimal power flow"))
+    s = _subcommand(subs, "sc-opf", _cmd_sc_opf, "json", "security-constrained DC OPF")
+    _security_opts(s, opf_mod.PREVENTIVE)
+    _opf_opts(s)
+    s = _subcommand(subs, "cos-curve", _cmd_cos_curve, "csv",
+                    "cost of security vs controller count")
+    s.add_argument("--max", type=int, required=True,
+                   help="largest controller count on the curve")
+    s.add_argument("--algorithm", choices=["cv", "lp"], default="cv")
+    _security_opts(s, opf_mod.CORRECTIVE)
+    _segments(s)
+    s.add_argument("--dat", metavar="FILE", default=None,
+                   help="also write a gnuplot-ready two-column data file")
+    _lp_opts(s)
+    _subcommand(subs, "metrics", _cmd_metrics, "csv",
+                "1-norm vs conical-volume comparison table")
+    return parser
+
+
+@functools.cache
+def _grammar() -> argparse.ArgumentParser:
+    """The process's one grammar, built on the first ``run``: parsing leaves
+    no state in it, so every call parses as a fresh one would."""
+    return build_parser()
+
+
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _grammar().parse_args(argv)
         return args.fn(args)
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

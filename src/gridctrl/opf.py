@@ -43,29 +43,29 @@ class InfeasibleError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class Dispatch:
-    p_gen: tuple[float, ...]            # MW, generator file order
-
-
-@dataclass(frozen=True)
 class OpfSolution:
     status: str                         # optimal | infeasible
     cost: float | None = None           # $/h
-    dispatch: Dispatch | None = None
+    p_gen: tuple[float, ...] | None = None  # MW, generator file order
     flows: tuple[float, ...] = ()       # MW, base case, in-service line order
     line_ids: tuple[int, ...] = ()
     hvdc_base: tuple[float, ...] = ()   # MW
     hvdc_contingency: dict[int, tuple[float, ...]] | None = None
 
 
+def _segment_count(gen, n_segments: int) -> int:
+    """How many pieces ``_gen_segments`` gives ``gen``."""
+    if gen.p_max - gen.p_min <= 1e-12:
+        return 0
+    return 1 if gen.cost[2] == 0.0 else n_segments
+
+
 def _gen_segments(gen, n_segments: int) -> list[tuple[float, float]]:
     """(width, slope) pieces covering [p_min, p_max], slopes nondecreasing."""
-    span = gen.p_max - gen.p_min
-    if span <= 1e-12:
-        return []
-    if gen.cost[2] == 0.0:
-        return [(span, gen.cost[1])]
-    points = np.linspace(gen.p_min, gen.p_max, n_segments + 1)
+    count = _segment_count(gen, n_segments)
+    if count == 0 or gen.cost[2] == 0.0:
+        return [(gen.p_max - gen.p_min, gen.cost[1])] * count
+    points = np.linspace(gen.p_min, gen.p_max, count + 1)
     costs = np.array([gen.cost_at(p) for p in points])
     widths = np.diff(points)
     return list(zip(widths, np.diff(costs) / widths))
@@ -103,22 +103,32 @@ def _solve(net: Network, placements: list[tuple[int, int]], p_dc_max: float,
     load = np.array(net.load_vector)
     gens = net.generators
 
-    seg_slots = [(gi, width, slope)                   # (gen index, width, slope)
-                 for gi, g in enumerate(gens) for width, slope in _gen_segments(g, n_segments)]
-    n_seg = len(seg_slots)
-    seg_cols = [net.bus_index[gens[gi].bus] for gi, _w, _sl in seg_slots]
-    n_dc = len(placements)
-
-    inj_fixed = -load.copy()
-    for g in gens:
-        inj_fixed[net.bus_index[g.bus]] += g.p_min
-
     # One network state per block of limit rows, the intact grid first.  Each
     # state's rows read the HVDC block that recourse allows: the base block
     # in preventive mode, the state's own block in corrective mode.
     states = [net] + [remove_line(net, cid) for cid in contingencies]
+    lims = np.array([ln.limit for state in states for ln in state.lines_in_service])
+    keep = np.isfinite(lims)
+    n_seg = sum(_segment_count(g, n_segments) for g in gens)
+    n_dc = len(placements)
     dc_starts = [n_seg + n_dc * (i if mode == CORRECTIVE else 0) for i in range(len(states))]
     n_core = dc_starts[-1] + n_dc
+
+    # the size is known before anything that size is built
+    n_vars = n_core + int(keep.sum())
+    m = 1 + int(keep.sum())
+    tableau = m * (n_vars + m) * 8        # simplex._Tableau: m x (n + m) float64
+    if tableau > TABLEAU_LIMIT_BYTES:
+        raise InputError(f"the LP has {m} rows and {n_vars} columns: its simplex tableau "
+                         f"needs {tableau / 2**20:.0f} MiB, over the "
+                         f"{TABLEAU_LIMIT_BYTES >> 20} MiB limit")
+
+    seg_slots = [(gi, width, slope)                   # (gen index, width, slope)
+                 for gi, g in enumerate(gens) for width, slope in _gen_segments(g, n_segments)]
+    seg_cols = [net.bus_index[gens[gi].bus] for gi, _w, _sl in seg_slots]
+    inj_fixed = -load.copy()
+    for g in gens:
+        inj_fixed[net.bus_index[g.bus]] += g.p_min
     coefs, offsets = [], []
     for state, dc in zip(states, dc_starts):
         mat = ptdf(state)
@@ -127,17 +137,7 @@ def _solve(net: Network, placements: list[tuple[int, int]], p_dc_max: float,
         coef[:, dc:dc + n_dc] = cv_matrix(mat, placements).T
         coefs.append(coef)
         offsets.append(mat.values @ inj_fixed)
-    lims = np.array([ln.limit for state in states for ln in state.lines_in_service])
-    keep = np.isfinite(lims)
     vecs, offs, lims = np.concatenate(coefs)[keep], np.concatenate(offsets)[keep], lims[keep]
-
-    n_vars = n_core + len(vecs)
-    m = 1 + len(vecs)
-    tableau = m * (n_vars + m) * 8        # simplex._Tableau: m x (n + m) float64
-    if tableau > TABLEAU_LIMIT_BYTES:
-        raise InputError(f"the LP has {m} rows and {n_vars} columns: its simplex tableau "
-                         f"needs {tableau / 2**20:.0f} MiB, over the "
-                         f"{TABLEAU_LIMIT_BYTES >> 20} MiB limit")
     a = np.zeros((m, n_vars))
     b = np.zeros(m)
     a[0, :n_seg] = 1.0
@@ -173,7 +173,7 @@ def _solve(net: Network, placements: list[tuple[int, int]], p_dc_max: float,
     return OpfSolution(
         status="optimal",
         cost=total_cost,
-        dispatch=Dispatch(p_gen=tuple(p_gen)),
+        p_gen=tuple(p_gen),
         flows=tuple(flows),
         line_ids=line_ids,
         hvdc_base=setpoints[0],
@@ -239,15 +239,10 @@ class CurvePoint:
     cos_percent: float
 
 
-@dataclass(frozen=True)
-class CosCurve:
-    points: tuple[CurvePoint, ...]
-
-
 def cos_curve(net: Network, max_count: int, algorithm: str = "cv",
               contingencies: list[int] | None = None, mode: str = CORRECTIVE,
               strategy: DeltaStrategy | None = None, p_dc_max: float = math.inf,
-              n_segments: int = DEFAULT_SEGMENTS) -> CosCurve:
+              n_segments: int = DEFAULT_SEGMENTS) -> tuple[CurvePoint, ...]:
     """CoS after each of 0..max_count greedily placed controllers."""
     if max_count < 0:
         raise InputError("max_count must be >= 0")
@@ -269,4 +264,4 @@ def cos_curve(net: Network, max_count: int, algorithm: str = "cv",
         points.append(CurvePoint(
             count=k, pair=placements[k - 1] if k else None,
             cos_abs=report.cos_abs, cos_percent=report.cos_percent))
-    return CosCurve(points=tuple(points))
+    return tuple(points)

@@ -3,14 +3,26 @@ summary hook that prints one PASS/FAIL line per criterion."""
 
 from __future__ import annotations
 
+import os
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gridctrl
 from gridctrl.cases import load_case
 from gridctrl.netmodel import Network
+
+
+def child_env(**overrides) -> dict:
+    """The environment for a child ``python -m gridctrl.cli``: this one, with
+    the source root of the gridctrl imported here first on PYTHONPATH, so the
+    child runs the same code whether or not PYTHONPATH was set."""
+    root = str(Path(gridctrl.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **overrides)
 
 
 def angle_flows(net: Network, p) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import angle_flows, unit_pair
+from conftest import angle_flows, child_env, unit_pair
 from test_place_cv import hull_log_volume
 
 from gridctrl.bounds import bounds, matrix_rank
@@ -147,10 +147,10 @@ def test_c08_cos_plateau(fixture10):
     curve = cos_curve(fixture10, fixture10.n_bus - 1,
                       algorithm="cv", mode="corrective")
     tol = 1e-4
-    zero_from = next((pt.count for pt in curve.points if abs(pt.cos_abs) <= tol),
+    zero_from = next((pt.count for pt in curve if abs(pt.cos_abs) <= tol),
                      None)
     assert zero_from is not None and zero_from <= fixture10.n_bus - 1
-    for pt in curve.points:
+    for pt in curve:
         if pt.count >= zero_from:
             assert abs(pt.cos_abs) <= tol, pt.count
     assert time.perf_counter() - t0 < 120.0
@@ -218,7 +218,7 @@ def test_c11_cli_determinism():
     ]
     for argv in commands:
         runs = [subprocess.run([sys.executable, "-m", "gridctrl.cli", *argv],
-                               capture_output=True, check=False)
+                               capture_output=True, env=child_env(), check=False)
                 for _ in range(2)]
         assert runs[0].returncode == 0, (argv, runs[0].stderr)
         assert runs[0].returncode == runs[1].returncode

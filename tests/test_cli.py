@@ -8,7 +8,6 @@ import contextlib
 import io
 import json
 import math
-import os
 import re
 import subprocess
 import sys
@@ -20,6 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import child_env
+from gridctrl import cli as cli_module
 from gridctrl.cases import case_names, case_path, load_case
 from gridctrl.cli import _cell, run
 from gridctrl.netmodel import MATPOWER_SUBSET, serialize_case
@@ -295,6 +296,9 @@ def test_huge_pdc_max_solves_as_uncapped(capsys, command, cap):
 
 _SPAN = "every remaining pair lies in the span of the basis"
 _NO_TARGETS = "count 4 exceeds the 3 in-service lines: there is no set of that many target lines"
+# refused from the generators' segment counts, before any segment is built
+_SEGMENTS_PAST_LIMIT = ("the LP has 1 rows and 5000000000 columns: its simplex tableau needs "
+                        "38147 MiB, over the 256 MiB limit")
 OUT_OF_DOMAIN = [
     # past the parallel bound n_B - 1: 2 on triangle3, 9 on fixture10
     ("place-cv triangle3 --count 3 --cos-threshold 1.5", _SPAN),
@@ -306,6 +310,8 @@ OUT_OF_DOMAIN = [
     ("opf case14 --segments 0", "n_segments must be >= 1, got 0"),
     ("opf case14 --segments -1", "n_segments must be >= 1, got -1"),
     ("cos-curve case14 --max 1 --segments 0", "n_segments must be >= 1, got 0"),
+    ("opf case14 --segments 1000000000", _SEGMENTS_PAST_LIMIT),
+    ("cos-curve case14 --max 1 --segments 1000000000", _SEGMENTS_PAST_LIMIT),
     ("fix-flows fixture10 --fix 1=inf", "MW value must be finite, got '1=inf'"),
     ("fix-flows fixture10 --fix 1=nan", "MW value must be finite, got '1=nan'"),
 ]
@@ -368,6 +374,58 @@ def test_missing_required_option(capsys):
     code, _out, err = cli(capsys, "place-cv", FIXTURE10)
     assert code == 2
     assert err.startswith("error: ")
+
+
+# results, argparse errors, input errors, and repeated options followed by
+# the same subcommand without them
+GRAMMAR_SEQUENCE = [
+    ["bounds", FIXTURE10],
+    ["place-cv", FIXTURE10],
+    ["cv", FIXTURE10, "--pair", "1-2"],
+    ["place-lp", TRIANGLE3, "--count", "1", "--strategy", "best"],
+    ["sc-opf", FIXTURE10, "--mode", "corrective", "--place", "1,8", "--place", "2,6",
+     "--contingency", "1", "--contingency", "5", "--output", "csv"],
+    ["sc-opf", FIXTURE10, "--place", "1,8"],
+    ["opf", CONGESTED3, "--place", "1,2", "--place", "2,3", "--pdc-max", "5"],
+    ["opf", CONGESTED3],
+    ["fix-flows", FIXTURE10, "--fix", "1=40", "--fix", "3=-20"],
+    ["fix-flows", FIXTURE10],
+    ["sc-opf", CONGESTED3],
+    ["cos-curve", FIXTURE10, "--max", "1", "--contingency", "1", "--contingency", "5",
+     "--output", "json"],
+    ["cos-curve", TRIANGLE3, "--max", "1"],
+    ["place-lp", TRIANGLE3, "--count", "1"],
+    ["cv", TRIANGLE3, "--pair", "1,3"],
+    *([name, str(case_path(case)), *rest]
+      for name, case, *rest in (command.split() for command, _ in OUT_OF_DOMAIN)),
+]
+
+
+def test_one_grammar_parses_like_a_fresh_one(capsys, tmp_path, monkeypatch):
+    """A sequence of argvs through the process's one grammar gives the exit
+    code, stdout, stderr and --out bytes of a freshly built grammar per argv,
+    and builds the grammar once."""
+    builds = []
+    build = cli_module.build_parser
+    monkeypatch.setattr(cli_module, "build_parser", lambda: builds.append(1) or build())
+    target = tmp_path / "out"
+
+    def results():
+        for argv in GRAMMAR_SEQUENCE:
+            for out in ([], ["--out", str(target)]):
+                yield cli(capsys, *argv, *out), target.read_bytes() if target.exists() else None
+                target.unlink(missing_ok=True)
+
+    fresh = []
+    cli_module._grammar.cache_clear()
+    for result in results():
+        fresh.append(result)
+        cli_module._grammar.cache_clear()
+    assert len(builds) == 2 * len(GRAMMAR_SEQUENCE)
+    builds.clear()
+    assert list(results()) == fresh
+    assert len(builds) == 1
+    assert {code for (code, _out, _err), _file in fresh} == {0, 1, 2}
 
 
 # ---------------------------------------------------------------------------
@@ -865,10 +923,9 @@ def test_out_writes_file_instead_of_stdout(capsys, tmp_path):
 
 
 def _run_cli_subprocess(argv, threads):
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
     return subprocess.run(
         [sys.executable, "-m", "gridctrl.cli", *argv],
-        capture_output=True, env=env, check=False)
+        capture_output=True, env=child_env(OPENBLAS_NUM_THREADS=str(threads)), check=False)
 
 
 def test_threaded_runs_are_byte_identical():

@@ -84,7 +84,7 @@ def test_single_bus_trivial():
     )
     sol = dc_opf(net)
     assert sol.status == "optimal"
-    assert sol.dispatch.p_gen == (pytest.approx(120.0),)
+    assert sol.p_gen == (pytest.approx(120.0),)
     assert sol.flows == (pytest.approx(120.0),)
     assert sol.cost == pytest.approx(1200.0)
 
@@ -94,7 +94,7 @@ def test_congestion_forces_expensive_unit(congested3):
     sol = dc_opf(congested3)
     assert sol.status == "optimal"
     assert sol.cost == pytest.approx(3300.0, rel=1e-9)
-    assert sol.dispatch.p_gen == pytest.approx((60.0, 90.0))
+    assert sol.p_gen == pytest.approx((60.0, 90.0))
     assert sol.flows == pytest.approx((70.0, -80.0, -10.0))
 
 
@@ -108,13 +108,13 @@ def test_fixture10_merit_order(fixture10):
     sol = dc_opf(fixture10)
     assert sol.status == "optimal"
     assert sol.cost == pytest.approx(8550.0, rel=1e-9)
-    assert sol.dispatch.p_gen == pytest.approx((400.0, 150.0, 0.0))
+    assert sol.p_gen == pytest.approx((400.0, 150.0, 0.0))
 
 
 def test_flows_are_physical(fixture10):
     sol = dc_opf(fixture10)
     inj = -np.array(fixture10.load_vector)
-    for g, p in zip(fixture10.generators, sol.dispatch.p_gen):
+    for g, p in zip(fixture10.generators, sol.p_gen):
         inj[fixture10.bus_index[g.bus]] += p
     oracle = angle_flows(fixture10, inj)
     np.testing.assert_allclose(sol.flows, oracle, atol=1e-6)
@@ -133,7 +133,7 @@ def test_quadratic_costs_near_equal_marginal(case14):
               + 430.293 * (p1 / 100) ** 2 + 2500 * ((2.59 - p1 / 100)) ** 2)
     assert sol.cost == pytest.approx(smooth, rel=3e-3)
     assert sol.cost >= smooth - 1e-9
-    assert sum(sol.dispatch.p_gen) == pytest.approx(259.0)
+    assert sum(sol.p_gen) == pytest.approx(259.0)
 
 
 def test_more_segments_never_cost_more(case14):
@@ -151,7 +151,7 @@ def test_infeasible_when_generation_short():
     )
     sol = dc_opf(net)
     assert sol.status == "infeasible"
-    assert sol.cost is None and sol.dispatch is None
+    assert sol.cost is None and sol.p_gen is None
     assert sol.line_ids == (1,)
 
 
@@ -159,7 +159,7 @@ def test_hvdc_relieves_congestion(congested3):
     """A controller between the limited corridor's ends restores merit order."""
     relieved = dc_opf(congested3, placements=[(1, 2)])
     assert relieved.cost == pytest.approx(1500.0, rel=1e-9)
-    assert relieved.dispatch.p_gen == pytest.approx((150.0, 0.0))
+    assert relieved.p_gen == pytest.approx((150.0, 0.0))
 
 
 def test_hvdc_never_hurts(fixture10, congested3):
@@ -210,7 +210,7 @@ def test_preventive_dispatch_survives_every_outage(fixture10):
     sol = sc_opf(fixture10, mode="preventive")
     assert sol.status == "optimal"
     inj = -np.array(fixture10.load_vector)
-    for g, p in zip(fixture10.generators, sol.dispatch.p_gen):
+    for g, p in zip(fixture10.generators, sol.p_gen):
         inj[fixture10.bus_index[g.bus]] += p
     for cid in default_contingencies(fixture10):
         reduced = Network(
@@ -300,7 +300,7 @@ def test_cos_raises_when_base_infeasible(congested3):
 
 def test_cos_curve_reaches_zero_and_stays(fixture10):
     curve = cos_curve(fixture10, 3, algorithm="cv", mode="corrective")
-    points = curve.points
+    points = curve
     assert [pt.count for pt in points] == [0, 1, 2, 3]
     assert points[0].pair is None
     assert points[0].cos_percent == pytest.approx(46.3163100657, rel=1e-8)
@@ -313,7 +313,7 @@ def test_cos_curve_reaches_zero_and_stays(fixture10):
 
 def test_cos_curve_is_monotone(fixture10):
     curve = cos_curve(fixture10, 4, algorithm="cv", mode="corrective")
-    vals = [pt.cos_abs for pt in curve.points]
+    vals = [pt.cos_abs for pt in curve]
     for earlier, later in zip(vals, vals[1:]):
         assert later <= earlier + 1e-6
 
@@ -398,7 +398,7 @@ def highs_opf(net, placements, p_dc_max, contingencies, corrective):
 def assert_point_feasible(net, sol, p_dc_max, contingencies, placements):
     """The printed dispatch and setpoints keep every flow within its limit."""
     tol = 1e-6
-    p_gen = np.array(sol.dispatch.p_gen)
+    p_gen = np.array(sol.p_gen)
     for g, p in zip(net.generators, p_gen):
         assert g.p_min - tol <= p <= g.p_max + tol
     assert p_gen.sum() == pytest.approx(sum(net.load_vector), abs=tol)
@@ -509,3 +509,75 @@ def test_opf_agrees_with_highs_on_drawn_grids(instance):
     if status == "optimal":
         assert abs(sol.cost - cost) <= 1e-7 * (1 + abs(cost))
         assert_point_feasible(net, sol, cap, conts, placements)
+
+
+@st.composite
+def recourse_instances(draw):
+    """(network, placements, cap, saving) on a drawn grid where corrective
+    recourse pays ``saving`` $/h.
+
+    Two units at buses A and B, both at c $/h per MW, feed a hub H over two
+    corridor lines of one reactance, and a tie line A-B carries at most
+    ``tie`` MW.  Losing A-H leaves A radial on the tie, so its flow is
+    p_A - s with s the A->B setpoint; losing B-H gives p_B + s the other
+    way.  One setpoint s for both outages allows
+    p_A + p_B <= |p_A - s| + |p_B + s| <= 2 tie, and recourse (+k after one
+    outage, -k after the other, |k| <= cap) allows 2 (tie + k).  The load
+    is 2 (tie + need): what the cheap units cannot carry comes from a dearer
+    unit at H.  So corrective saves 2 min(cap, need) MW at the difference in
+    price.  Pendant load buses hang off H on unlimited lines; those are
+    bridges, so no outage of them is secured against.
+    """
+    n_pendant = draw(st.integers(0, 2))
+    ids = draw(st.permutations(range(1, 4 + n_pendant)))
+    a, b, hub, pendants = ids[0], ids[1], ids[2], ids[3:]
+    tie = draw(st.floats(20.0, 200.0))
+    need = draw(st.floats(5.0, 100.0))
+    cap = need * draw(st.sampled_from([1.0, 1.0, 0.3, 0.9, 1.5]))
+    total = 2.0 * (tie + need)
+    corridor = draw(st.sampled_from([math.inf, 1.1, 2.0])) * (total + 2.0 * cap)
+    x_corridor = 10.0 ** draw(st.floats(-2.0, 1.0))
+    ends = [(a, hub, x_corridor, corridor), (b, hub, x_corridor, corridor),
+            (a, b, 10.0 ** draw(st.floats(-2.0, 1.0)), tie)]
+    ends += [(hub, p, 10.0 ** draw(st.floats(-2.0, 1.0)), math.inf) for p in pendants]
+    lines = []
+    for i, (f, t, x, limit) in enumerate(ends, start=1):
+        if draw(st.booleans()):
+            f, t = t, f
+        lines.append(Line(i, f, t, x, limit))
+    shares = [draw(st.floats(0.1, 1.0)) for _ in range(1 + n_pendant)]
+    c, dear = draw(st.floats(5.0, 20.0)), draw(st.floats(30.0, 80.0))
+    p_max = tie + need + draw(st.floats(0.0, 50.0))
+    slack = draw(st.sampled_from(ids))
+    net = Network(
+        buses=tuple(Bus(k, k == slack) for k in sorted(ids)),
+        lines=tuple(lines),
+        generators=(Generator(a, 0.0, p_max, cost=(draw(st.floats(0.0, 100.0)), c, 0.0)),
+                    Generator(b, 0.0, p_max, cost=(0.0, c, 0.0)),
+                    Generator(hub, 0.0, total, cost=(0.0, dear, 0.0))),
+        loads=tuple(Load(bus, total * w / sum(shares))
+                    for bus, w in zip([hub, *pendants], shares)),
+        base_mva=draw(st.sampled_from([1.0, 100.0, 1e4])))
+    placements = [(a, b) if draw(st.booleans()) else (b, a)]
+    return net, placements, cap, 2.0 * min(cap, need) * (dear - c)
+
+
+@settings(max_examples=60, deadline=None)
+@given(instance=recourse_instances())
+def test_corrective_recourse_pays_on_drawn_grids(instance):
+    """Both modes equal HiGHS and print a feasible point, and corrective is
+    cheaper than preventive by the saving the construction predicts."""
+    net, placements, cap, saving = instance
+    conts = default_contingencies(net)
+    assert len(conts) == 3
+    costs = {}
+    for mode in ("preventive", "corrective"):
+        sol = sc_opf(net, placements, mode=mode, p_dc_max=cap)
+        status, cost = highs_opf(net, placements, cap, conts, mode == "corrective")
+        assert sol.status == status == "optimal", mode
+        assert abs(sol.cost - cost) <= 1e-7 * (1 + abs(cost)), mode
+        assert_point_feasible(net, sol, cap, conts, placements)
+        costs[mode] = sol.cost
+    gap = costs["preventive"] - costs["corrective"]
+    assert gap > 1e-7 * (1 + costs["preventive"])
+    assert gap == pytest.approx(saving, rel=1e-7)

@@ -179,7 +179,7 @@ def _strategy(args) -> DeltaStrategy:
 # subcommand bodies
 
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(args) -> None:
     violations = validate(read_case(args.case))
     if args.output == "json":
         _write_json(args.out, [{"code": v.code, "message": v.message}
@@ -188,12 +188,10 @@ def _cmd_validate(args) -> int:
         _write_csv(args.out, [("code", "message")]
                    + [(v.code, f"\"{v.message}\"") for v in violations])
     if violations:
-        print(f"error: case has {len(violations)} violation(s)", file=sys.stderr)
-        return 2
-    return 0
+        raise InputError(f"case has {len(violations)} violation(s)")
 
 
-def _cmd_ptdf(args) -> int:
+def _cmd_ptdf(args) -> None:
     net = _load(args)
     mat = ptdf(net)
     if args.output == "json":
@@ -202,13 +200,12 @@ def _cmd_ptdf(args) -> int:
             "bus_ids": list(mat.bus_ids),
             "line_ids": list(mat.line_ids),
         }, mat.values)
-        return 0
+        return
     _write_csv(args.out, _matrix_rows((f"bus_{b}" for b in mat.bus_ids),
                                       mat.line_ids, mat.values))
-    return 0
 
 
-def _cmd_cv(args) -> int:
+def _cmd_cv(args) -> None:
     # an option error shows whatever the case file holds, and no PTDF is built
     # for a pair that names an unknown bus
     if args.all == (args.pair is not None):
@@ -228,13 +225,12 @@ def _cmd_cv(args) -> int:
             "line_ids": list(mat.line_ids),
             "pairs": [list(p) for p in pairs],
         }, vectors)
-        return 0
+        return
     _write_csv(args.out, _matrix_rows((f"cv_{m}_{n}" for m, n in pairs),
                                       mat.line_ids, vectors.T))
-    return 0
 
 
-def _cmd_lodf(args) -> int:
+def _cmd_lodf(args) -> None:
     net = _load(args)
     dist = lodf(net)
     if args.output == "json":
@@ -242,13 +238,12 @@ def _cmd_lodf(args) -> int:
             "line_ids": list(dist.line_ids),
             "islanded": list(dist.islanded),
         }, dist.values)
-        return 0
+        return
     _write_csv(args.out, _matrix_rows((f"out_{lid}" for lid in dist.line_ids),
                                       dist.line_ids, dist.values))
-    return 0
 
 
-def _cmd_bounds(args) -> int:
+def _cmd_bounds(args) -> None:
     net = _load(args)
     rep = bounds_op(net)
     payload = {"series_bound": rep.series_bound,
@@ -258,10 +253,9 @@ def _cmd_bounds(args) -> int:
         _write_csv(args.out, [payload.keys(), payload.values()])
     else:
         _write_json(args.out, payload, indent=None, separators=(",", ":"))
-    return 0
 
 
-def _cmd_fix_flows(args) -> int:
+def _cmd_fix_flows(args) -> None:
     net = _load(args)
     inj = _nominal_injection(net)
     fixed_pairs = [_parse_fix(item) for item in args.fix or []]
@@ -281,17 +275,16 @@ def _cmd_fix_flows(args) -> int:
         elif res.status == "underdetermined":
             payload["freedom"] = res.freedom
         _write_json(args.out, payload)
-        return 0
+        return
     rows = [("status", res.status)]
     if res.status == "unique":
         rows += [("line_id", "flow_mw"), *flows]
     elif res.status == "underdetermined":
         rows.append(("freedom", res.freedom))
     _write_csv(args.out, rows)
-    return 0
 
 
-def _cmd_place_cv(args) -> int:
+def _cmd_place_cv(args) -> None:
     net = _load(args)
     mat = ptdf(net)
     placements, tables = run_cv_placement(
@@ -307,7 +300,7 @@ def _cmd_place_cv(args) -> int:
                  "selected": r.selected} for r in rows]})
         _write_json(args.out, {
             "placements": [list(p) for p in placements], "steps": steps})
-        return 0
+        return
     _write_csv(args.out, [
         ("placement", "pair"),
         *enumerate(placements, start=1),
@@ -317,10 +310,9 @@ def _cmd_place_cv(args) -> int:
            int(r.selected))
           for si, rows in enumerate(tables, start=1) for r in rows),
     ])
-    return 0
 
 
-def _cmd_place_lp(args) -> int:
+def _cmd_place_lp(args) -> None:
     net = _load(args)
     mat = ptdf(net)
     strategy = _strategy(args)
@@ -348,7 +340,7 @@ def _cmd_place_lp(args) -> int:
             "steps": steps,
             "lp_count": lp_count,
         })
-        return 0
+        return
     _write_csv(args.out, [
         ("placement", "pair"),
         *enumerate(placements, start=1),
@@ -357,10 +349,9 @@ def _cmd_place_lp(args) -> int:
         *((p, r.total_effort, rel(r), r.infeasible_sets, r.lp_count) for p, r in final),
         (f"lp_count={lp_count}",),
     ])
-    return 0
 
 
-def _cmd_compare(args) -> int:
+def _cmd_compare(args) -> None:
     net = _load(args)
     mat = ptdf(net)
     cv_placements, _ = run_cv_placement(
@@ -373,10 +364,9 @@ def _cmd_compare(args) -> int:
         _write_json(args.out, [
             {"step": r.step, "cv_pair": list(r.cv_pair),
              "lp_pair": list(r.lp_pair), "agree": r.agree} for r in rows])
-        return 0
+        return
     _write_csv(args.out, [("step", "cv_pair", "lp_pair", "agree")]
                + [(r.step, r.cv_pair, r.lp_pair, int(r.agree)) for r in rows])
-    return 0
 
 
 def _solution_payload(net: Network, sol) -> dict:
@@ -426,7 +416,7 @@ def _solution_rows(payload: dict):
             yield c["contingency"], ",".join(map(_cell, c["p_mw"]))
 
 
-def _write_solution(args, net: Network, sol) -> int:
+def _write_solution(args, net: Network, sol) -> None:
     payload = _solution_payload(net, sol)
     if args.output == "json":
         _write_json(args.out, payload)
@@ -434,34 +424,42 @@ def _write_solution(args, net: Network, sol) -> int:
         _write_csv(args.out, _solution_rows(payload))
     if sol.status != "optimal":
         raise opf_mod.InfeasibleError("no dispatch satisfies the constraints")
-    return 0
 
 
-def _cmd_opf(args) -> int:
+def _cmd_opf(args) -> None:
     net = _load(args)
     placements = [tuple(p) for p in args.place or []]
     sol = opf_mod.dc_opf(net, placements, p_dc_max=args.pdc_max,
                          n_segments=args.segments)
-    return _write_solution(args, net, sol)
+    _write_solution(args, net, sol)
 
 
-def _cmd_sc_opf(args) -> int:
+def _cmd_sc_opf(args) -> None:
     net = _load(args)
     placements = [tuple(p) for p in args.place or []]
     conts = args.contingency if args.contingency else None
     sol = opf_mod.sc_opf(net, placements, contingencies=conts,
                          mode=args.mode, p_dc_max=args.pdc_max,
                          n_segments=args.segments)
-    return _write_solution(args, net, sol)
+    _write_solution(args, net, sol)
 
 
-def _cmd_cos_curve(args) -> int:
+def _cmd_cos_curve(args) -> None:
     net = _load(args)
-    conts = args.contingency if args.contingency else None
-    points = opf_mod.cos_curve(net, args.max, algorithm=args.algorithm,
-                               contingencies=conts, mode=args.mode,
-                               strategy=_strategy(args), p_dc_max=args.pdc_max,
-                               n_segments=args.segments)
+    strategy = _strategy(args)
+    if args.max < 0:
+        raise InputError("max_count must be >= 0")
+    conts = opf_mod.check_contingencies(net, args.contingency or None)
+    placements: list[tuple[int, int]] = []
+    if args.max > 0:
+        mat = ptdf(net)
+        if args.algorithm == "cv":
+            placements, _ = run_cv_placement(mat, args.max)
+        else:
+            placements, _ = run_lp_placement(net, mat, args.max, strategy,
+                                             p_dc_max=args.pdc_max)
+    points = opf_mod.cos_curve(net, placements, conts, args.mode,
+                               args.pdc_max, args.segments)
     if args.dat:
         _write_csv(args.dat, [("# controllers cos_percent",)]
                    + [(f"{pt.count} {_cell(pt.cos_percent)}",) for pt in points])
@@ -473,14 +471,13 @@ def _cmd_cos_curve(args) -> int:
              "cos_percent": pt.cos_percent if math.isfinite(pt.cos_percent) else None,
              "cos_abs": pt.cos_abs}
             for pt in points])
-        return 0
+        return
     _write_csv(args.out, [("count", "pair_m", "pair_n", "cos_percent", "cos_abs")]
                + [(pt.count, *(pt.pair or ("", "")), pt.cos_percent, pt.cos_abs)
                   for pt in points])
-    return 0
 
 
-def _cmd_metrics(args) -> int:
+def _cmd_metrics(args) -> None:
     net = _load(args)
     rows, rho = metric_report(ptdf(net))
     if args.output == "json":
@@ -491,14 +488,13 @@ def _cmd_metrics(args) -> int:
                       "dimension": r.score.dimension,
                       "rank_norm1": r.rank_norm1,
                       "rank_volume": r.rank_volume} for r in rows]})
-        return 0
+        return
     _write_csv(args.out, [
         ("pair", "norm1", "log_volume", "dimension", "rank_norm1", "rank_volume"),
         *((r.pair, r.norm1, r.score.log_volume, r.score.dimension, r.rank_norm1,
            r.rank_volume) for r in rows),
         (f"spearman_rho={'undefined' if rho is None else _cell(rho)}",),
     ])
-    return 0
 
 
 # --------------------------------------------------------------------------
@@ -610,7 +606,8 @@ def _grammar() -> argparse.ArgumentParser:
 def run(argv: list[str] | None = None) -> int:
     try:
         args = _grammar().parse_args(argv)
-        return args.fn(args)
+        args.fn(args)
+        return 0
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -167,6 +167,12 @@ def cv(mat: PtdfMatrix, m: int, n: int) -> ControllabilityVector:
     return ControllabilityVector(m=m, n=n, values=_frozen(cv_matrix(mat, [(m, n)])[0]))
 
 
+def check_p_dc_max(p_dc_max: float) -> None:
+    """Reject a setpoint cap that is negative or NaN (MW; inf means no cap)."""
+    if not p_dc_max >= 0.0:
+        raise InputError(f"setpoint cap p_dc_max must be >= 0 MW, got {p_dc_max}")
+
+
 def apply_hvdc(mat: PtdfMatrix, placements: list[tuple[int, int]],
                p_dc: np.ndarray) -> np.ndarray:
     """AC flow change (MW) from HVDC setpoints (MW) on the given node pairs."""

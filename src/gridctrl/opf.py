@@ -26,16 +26,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dcsens import bridges, cv_matrix, ptdf, remove_line
+from .dcsens import bridges, check_p_dc_max, cv_matrix, ptdf, remove_line
 from .netmodel import InputError, Network
-from .place_cv import run_cv_placement
-from .place_lp import DeltaStrategy, check_p_dc_max, run_lp_placement
-from .simplex import LpProblem, SimplexNumericalError, solve_lp
+from .simplex import FEAS_TOL, LpProblem, SimplexNumericalError, check_tableau_size, solve_lp
 
 PREVENTIVE = "preventive"
 CORRECTIVE = "corrective"
 DEFAULT_SEGMENTS = 10
-TABLEAU_LIMIT_BYTES = 256 * 2**20     # a larger simplex tableau is refused, not built
+# N equal pieces miss a quadratic cost by at most c2 (span / N)^2 / 4, which is
+# below FEAS_TOL c2 span^2 from this N on: more pieces buy nothing (1,582)
+MAX_SEGMENTS = math.ceil(0.5 / math.sqrt(FEAS_TOL))
 
 
 class InfeasibleError(RuntimeError):
@@ -77,7 +77,8 @@ def default_contingencies(net: Network) -> list[int]:
     return [ln.id for ln in net.lines_in_service if ln.id not in islanding]
 
 
-def _check_contingencies(net: Network, contingencies: list[int] | None) -> list[int]:
+def check_contingencies(net: Network, contingencies: list[int] | None) -> list[int]:
+    """The checked contingency line ids; ``None`` stands for the default set."""
     if contingencies is None:
         return default_contingencies(net)
     pos = {ln.id for ln in net.lines_in_service}
@@ -117,11 +118,9 @@ def _solve(net: Network, placements: list[tuple[int, int]], p_dc_max: float,
     # the size is known before anything that size is built
     n_vars = n_core + int(keep.sum())
     m = 1 + int(keep.sum())
-    tableau = m * (n_vars + m) * 8        # simplex._Tableau: m x (n + m) float64
-    if tableau > TABLEAU_LIMIT_BYTES:
-        raise InputError(f"the LP has {m} rows and {n_vars} columns: its simplex tableau "
-                         f"needs {tableau / 2**20:.0f} MiB, over the "
-                         f"{TABLEAU_LIMIT_BYTES >> 20} MiB limit")
+    check_tableau_size(m, n_vars)
+    if n_segments > MAX_SEGMENTS:
+        raise InputError(f"n_segments must be <= {MAX_SEGMENTS}, got {n_segments}")
 
     seg_slots = [(gi, width, slope)                   # (gen index, width, slope)
                  for gi, g in enumerate(gens) for width, slope in _gen_segments(g, n_segments)]
@@ -197,7 +196,7 @@ def sc_opf(net: Network, placements: list[tuple[int, int]] | None = None,
     non-islanding line outage."""
     if mode not in (PREVENTIVE, CORRECTIVE):
         raise InputError(f"mode must be {PREVENTIVE} or {CORRECTIVE}, got '{mode}'")
-    conts = _check_contingencies(net, contingencies)
+    conts = check_contingencies(net, contingencies)
     return _solve(net, list(placements or []), p_dc_max, conts, mode, n_segments)
 
 
@@ -239,26 +238,14 @@ class CurvePoint:
     cos_percent: float
 
 
-def cos_curve(net: Network, max_count: int, algorithm: str = "cv",
+def cos_curve(net: Network, placements: list[tuple[int, int]],
               contingencies: list[int] | None = None, mode: str = CORRECTIVE,
-              strategy: DeltaStrategy | None = None, p_dc_max: float = math.inf,
+              p_dc_max: float = math.inf,
               n_segments: int = DEFAULT_SEGMENTS) -> tuple[CurvePoint, ...]:
-    """CoS after each of 0..max_count greedily placed controllers."""
-    if max_count < 0:
-        raise InputError("max_count must be >= 0")
-    if algorithm not in ("cv", "lp"):
-        raise InputError(f"algorithm must be 'cv' or 'lp', got '{algorithm}'")
-    conts = _check_contingencies(net, contingencies)
-    placements: list[tuple[int, int]] = []
-    if max_count > 0:
-        mat = ptdf(net)
-        if algorithm == "cv":
-            placements, _tables = run_cv_placement(mat, max_count)
-        else:
-            placements, _tables = run_lp_placement(
-                net, mat, max_count, strategy or DeltaStrategy.constant(), p_dc_max)
+    """CoS with each prefix of ``placements`` installed, the empty one first."""
+    conts = check_contingencies(net, contingencies)
     points = []
-    for k in range(max_count + 1):
+    for k in range(len(placements) + 1):
         report = cost_of_security(net, placements[:k], conts, mode,
                                   p_dc_max, n_segments)
         points.append(CurvePoint(

@@ -39,11 +39,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dcsens import PtdfMatrix, cv_matrix, node_pairs
+from .dcsens import PtdfMatrix, check_p_dc_max, cv_matrix, node_pairs
 from .netmodel import InputError, Network
 from .simplex import FEAS_TOL, PIVOT_TOL, LpProblem, SimplexNumericalError, solve_lp
 
 _EFFORT_CHUNK = 1 << 11    # k x k blocks per _efforts call; bounds the stacked temporaries
+# a larger effort table, node pairs x C(n_L, k) float64 at greedy step k, is
+# refused, not built (lattice 118: 6,903 pairs on 233 lines need 1,423 MiB
+# at k = 2)
+EFFORT_LIMIT_BYTES = 256 * 2**20
 
 CONSTANT_MW = "constant"
 OF_LIMIT = "fraction-of-limit"
@@ -105,10 +109,17 @@ class EffortResult:
         return self.lp_count > 0 and self.infeasible_sets == self.lp_count
 
 
-def check_p_dc_max(p_dc_max: float) -> None:
-    """Reject a setpoint cap that is negative or NaN (MW; inf means no cap)."""
-    if not p_dc_max >= 0.0:
-        raise InputError(f"setpoint cap p_dc_max must be >= 0 MW, got {p_dc_max}")
+def check_effort_size(count: int, n_buses: int, n_lines: int) -> None:
+    """Refuse ``count`` greedy steps on n_buses buses and n_lines lines when
+    the largest step's effort table would exceed ``EFFORT_LIMIT_BYTES``."""
+    k = min(count, n_lines // 2)      # C(n_L, k) peaks at k = n_L // 2
+    pairs, sets = math.comb(n_buses, 2), math.comb(n_lines, k)
+    need = pairs * sets * 8
+    if need > EFFORT_LIMIT_BYTES:
+        raise InputError(f"placing {count} controllers scores {pairs} node pairs on "
+                         f"C({n_lines}, {k}) = {sets} target line sets: their effort "
+                         f"table needs {need >> 20} MiB, over the "
+                         f"{EFFORT_LIMIT_BYTES >> 20} MiB limit")
 
 
 def _effort(cv_rows: np.ndarray, deltas: np.ndarray, p_dc_max: float) -> float | None:
@@ -254,6 +265,7 @@ def run_lp_placement(net: Network, mat: PtdfMatrix, count: int,
     if mat.line_ids and count > len(mat.line_ids):
         raise InputError(f"count {count} exceeds the {len(mat.line_ids)} in-service "
                          "lines: there is no set of that many target lines")
+    check_effort_size(count, len(mat.bus_ids), len(mat.line_ids))
     placements: list[tuple[int, int]] = []
     tables = []
     for _ in range(count):

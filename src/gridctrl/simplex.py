@@ -5,10 +5,11 @@ with infinite bounds allowed on either side.  Two phases (artificial
 variables for feasibility), Dantzig pricing with a Bland-rule fallback after
 a degenerate streak so cycling cannot occur, explicit bound-flip steps for
 boxed variables.  Dense tableau storage: this is meant for the small
-problems this package generates, not as a general-purpose LP code.  A pivot
-updates only the cells it changes, those in a row where the pivot column is
-nonzero and a column where the pivot row is nonzero; each of them gets the
-same single multiply-subtract the full rank-1 update would give it.
+problems this package generates, not as a general-purpose LP code, and an
+LP whose tableau would pass ``TABLEAU_LIMIT_BYTES`` is refused unbuilt.  A
+pivot updates only the cells it changes, those in a row where the pivot
+column is nonzero and a column where the pivot row is nonzero; each of them
+gets the same single multiply-subtract the full rank-1 update would give it.
 
 Between iterations the loop keeps what only the entering and the leaving
 column can change: the basic values and their bounds by basis position, and
@@ -26,10 +27,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .netmodel import InputError
+
 FEAS_TOL = 1e-7
 PIVOT_TOL = 1e-9
 DEGENERATE_STREAK = 40
 _PIVOT_CHUNK = 1 << 16     # cells per block of a pivot update; bounds its temporaries
+TABLEAU_LIMIT_BYTES = 256 * 2**20     # a larger tableau is refused, not built
 
 _AT_LOWER, _AT_UPPER, _FREE, _BASIC = 0, 1, 2, 3
 # (gate_up, gate_dn) of a movable nonbasic column at that bound
@@ -88,6 +92,16 @@ def _validate(p: LpProblem) -> None:
         raise ValueError("lower bound exceeds upper bound")
 
 
+def check_tableau_size(m: int, n: int) -> None:
+    """Refuse an LP of m rows and n columns whose tableau, m x (n + m)
+    float64, would exceed ``TABLEAU_LIMIT_BYTES``."""
+    need = m * (n + m) * 8
+    if need > TABLEAU_LIMIT_BYTES:
+        raise InputError(f"the LP has {m} rows and {n} columns: its simplex tableau "
+                         f"needs {need / 2**20:.0f} MiB, over the "
+                         f"{TABLEAU_LIMIT_BYTES >> 20} MiB limit")
+
+
 class _Tableau:
     def __init__(self, p: LpProblem):
         self.n = p.c.shape[0]
@@ -114,6 +128,8 @@ class _Tableau:
         self.x[n:] = np.abs(resid)
         self.iterations = 0
 
+    # a step ratio past the float range is inf, as if that row set no limit
+    @np.errstate(over="ignore")
     def run(self, cvec: np.ndarray, max_iter: int) -> str:
         """Minimize cvec over the current basis.  'optimal' or 'unbounded'.
 
@@ -125,7 +141,7 @@ class _Tableau:
         """
         m, t, x, basis, status = self.m, self.t, self.x, self.basis, self.status
         lower, upper = self.lower, self.upper
-        movable = (status != _BASIC) & (upper - lower > 0.0)
+        movable = (status != _BASIC) & (upper > lower)
         gate_up = np.where(movable & (status != _AT_UPPER), 0.0, -np.inf)
         gate_dn = np.where(movable & (status != _AT_LOWER), 0.0, -np.inf)
         dtol = FEAS_TOL * (1.0 + float(np.abs(cvec).max(initial=0.0)))
@@ -205,7 +221,7 @@ class _Tableau:
                 side = _AT_UPPER if rises[r] else _AT_LOWER
                 x[leaving] = ub[r] if rises[r] else lb[r]
                 status[leaving] = side
-                if ub[r] - lb[r] > 0.0:
+                if ub[r] > lb[r]:
                     gate_up[leaving], gate_dn[leaving] = _GATES[side]
 
                 self._pivot(r, j)
@@ -268,7 +284,7 @@ def _certify(p: LpProblem, tab: _Tableau) -> np.ndarray:
     y = (cvec[tab.basis] @ tab.t[:, n:]) * signs
     z = cvec - np.concatenate([p.a_eq.T @ y, signs * y])
     dual_tol = FEAS_TOL * (1.0 + np.abs(p.c).max(initial=0.0))
-    movable = tab.upper - tab.lower > 0.0
+    movable = tab.upper > tab.lower
     for state, bad, where in ((_AT_LOWER, z < -dual_tol, "at a lower bound"),
                               (_AT_UPPER, z > dual_tol, "at an upper bound"),
                               (_FREE, np.abs(z) > dual_tol, "on a free variable"),
@@ -282,6 +298,7 @@ def solve_lp(problem: LpProblem, max_iter: int | None = None) -> LpResult:
     """Two-phase bounded-variable simplex.  See module docstring."""
     _validate(problem)
     n, m = problem.c.shape[0], problem.b_eq.shape[0]
+    check_tableau_size(m, n)
     if max_iter is None:
         max_iter = max(2000, 100 * (n + m))
     tab = _Tableau(problem)

@@ -144,8 +144,8 @@ def test_c07_security_cost_ordering(fixture10):
 def test_c08_cos_plateau(fixture10):
     """Unbounded corrective controllers drive the premium to zero for good."""
     t0 = time.perf_counter()
-    curve = cos_curve(fixture10, fixture10.n_bus - 1,
-                      algorithm="cv", mode="corrective")
+    placements, _ = run_cv_placement(ptdf(fixture10), fixture10.n_bus - 1)
+    curve = cos_curve(fixture10, placements, mode="corrective")
     tol = 1e-4
     zero_from = next((pt.count for pt in curve if abs(pt.cos_abs) <= tol),
                      None)

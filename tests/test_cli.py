@@ -283,7 +283,11 @@ def test_bad_pdc_max_is_input_error(capsys, argv, cap):
 @pytest.mark.parametrize("command,cap", [
     ("sc-opf congested3 --mode corrective --place 1,2", "1e12"),
     ("opf fixture10 --place 1,8", "1e15"),
-    ("opf fixture10 --place 1,8", "1e20")])
+    ("opf fixture10 --place 1,8", "1e20"),
+    # past about 9e307 a bound difference overflows, which writes no warning
+    ("opf fixture10 --place 1,8", "1e308"),
+    ("sc-opf fixture10 --place 1,8", "1e308"),
+    ("sc-opf congested3 --mode corrective --place 1,2", "1e308")])
 def test_huge_pdc_max_solves_as_uncapped(capsys, command, cap):
     """A finite cap far past any useful setpoint prints what no cap prints."""
     name, case, *rest = command.split()
@@ -312,6 +316,9 @@ OUT_OF_DOMAIN = [
     ("cos-curve case14 --max 1 --segments 0", "n_segments must be >= 1, got 0"),
     ("opf case14 --segments 1000000000", _SEGMENTS_PAST_LIMIT),
     ("cos-curve case14 --max 1 --segments 1000000000", _SEGMENTS_PAST_LIMIT),
+    # the tableau fits, but past 1,582 pieces a quadratic cost gains nothing
+    ("opf case14 --segments 2000000", "n_segments must be <= 1582, got 2000000"),
+    ("opf case14 --segments 200000", "n_segments must be <= 1582, got 200000"),
     ("fix-flows fixture10 --fix 1=inf", "MW value must be finite, got '1=inf'"),
     ("fix-flows fixture10 --fix 1=nan", "MW value must be finite, got '1=nan'"),
 ]
@@ -330,7 +337,7 @@ def test_out_of_domain_value_is_input_error(capsys, tmp_path, command, message):
 
 def test_tableau_past_limit_is_input_error(capsys, tmp_path, monkeypatch):
     """The SC-OPF LP is refused before its tableau is allocated."""
-    monkeypatch.setattr("gridctrl.opf.TABLEAU_LIMIT_BYTES", 2**20)
+    monkeypatch.setattr("gridctrl.simplex.TABLEAU_LIMIT_BYTES", 2**20)
     net = load_case("case14")                   # every line limited to 200 MW
     case = tmp_path / "case14_limited.json"
     case.write_text(serialize_case(replace(net, lines=tuple(
@@ -354,6 +361,19 @@ def test_orthant_past_limit_is_input_error(capsys, tmp_path, monkeypatch):
     assert err == ("error: scoring 9 controllers on 14 lines takes 3^9 - 1 sign "
                    "combinations: their matrix needs 2 MiB, over the 1 MiB limit\n")
     assert not target.exists()
+
+
+def test_effort_table_past_limit_is_input_error(capsys, tmp_path, monkeypatch):
+    """place-lp is refused before its largest step's effort table is built."""
+    monkeypatch.setattr("gridctrl.place_lp.EFFORT_LIMIT_BYTES", 2**20)
+    target = tmp_path / "place.json"
+    code, out, err = cli(capsys, "place-lp", str(case_path("case14")), "--count", "4",
+                         "--out", str(target))
+    assert (code, out) == (2, "")
+    assert err == ("error: placing 4 controllers scores 91 node pairs on C(20, 4) = 4845 "
+                   "target line sets: their effort table needs 3 MiB, over the 1 MiB limit\n")
+    assert not target.exists()
+    assert cli(capsys, "place-lp", str(case_path("case14")), "--count", "3")[0] == 0
 
 
 def test_analysis_gate_rejects_invalid_case(capsys, disconnected_case):
@@ -909,6 +929,16 @@ def test_cos_curve_infeasible_case(capsys):
     assert err.startswith("infeasible: ")
 
 
+def test_cos_curve_refuses_a_negative_max_and_an_unknown_algorithm(capsys):
+    """Both are refused before any placement or OPF runs."""
+    code, out, err = cli(capsys, "cos-curve", FIXTURE10, "--max", "-1")
+    assert (code, out, err) == (2, "", "error: max_count must be >= 0\n")
+    code, out, err = cli(capsys, "cos-curve", FIXTURE10, "--max", "1", "--algorithm", "best")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: argument --algorithm: invalid choice: 'best'")
+    assert err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # output redirection and determinism
 
@@ -984,7 +1014,7 @@ def test_singular_reduced_matrix_is_an_input_error(capsys, monkeypatch):
 
 
 COUNTS = st.sampled_from(["-1", "0", "1", "2", "3", "4"])
-FLOATS = st.sampled_from(["0", "0.5", "1", "50", "300", "1e12", "1e15", "1e20",
+FLOATS = st.sampled_from(["0", "0.5", "1", "50", "300", "1e12", "1e15", "1e20", "1e308",
                           "-5", "nan", "inf", "-inf"])
 # fixture10 only where every drawn count still runs in milliseconds
 FIXTURE10_COMMANDS = ("opf", "sc-opf", "fix-flows", "place-cv")

@@ -12,6 +12,7 @@ from scipy.optimize import linprog
 
 from conftest import angle_flows, unit_pair, without_line
 from gridctrl.cases import load_case
+from gridctrl.dcsens import ptdf
 from gridctrl.netmodel import Bus, Generator, Line, Load, Network
 from gridctrl.opf import (
     CosReport,
@@ -22,6 +23,7 @@ from gridctrl.opf import (
     default_contingencies,
     sc_opf,
 )
+from gridctrl.place_cv import run_cv_placement
 from test_dcsens import multigraphs
 
 
@@ -298,8 +300,12 @@ def test_cos_raises_when_base_infeasible(congested3):
         cost_of_security(congested3, mode="preventive")
 
 
+def cv_placements(net, count):
+    return run_cv_placement(ptdf(net), count)[0]
+
+
 def test_cos_curve_reaches_zero_and_stays(fixture10):
-    curve = cos_curve(fixture10, 3, algorithm="cv", mode="corrective")
+    curve = cos_curve(fixture10, cv_placements(fixture10, 3), mode="corrective")
     points = curve
     assert [pt.count for pt in points] == [0, 1, 2, 3]
     assert points[0].pair is None
@@ -312,17 +318,10 @@ def test_cos_curve_reaches_zero_and_stays(fixture10):
 
 
 def test_cos_curve_is_monotone(fixture10):
-    curve = cos_curve(fixture10, 4, algorithm="cv", mode="corrective")
+    curve = cos_curve(fixture10, cv_placements(fixture10, 4), mode="corrective")
     vals = [pt.cos_abs for pt in curve]
     for earlier, later in zip(vals, vals[1:]):
         assert later <= earlier + 1e-6
-
-
-def test_cos_curve_validation(fixture10):
-    with pytest.raises(ValueError, match="max_count"):
-        cos_curve(fixture10, -1)
-    with pytest.raises(ValueError, match="algorithm"):
-        cos_curve(fixture10, 1, algorithm="best")
 
 
 # ---------------------------------------------------------------------------

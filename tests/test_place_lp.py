@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from gridctrl import place_lp, simplex
-from gridctrl.dcsens import cv, cv_matrix, node_pairs, ptdf
+from gridctrl.dcsens import check_p_dc_max, cv, cv_matrix, node_pairs, ptdf
 from gridctrl.netmodel import Bus, InputError, Line, Network
 from gridctrl.simplex import FEAS_TOL, PIVOT_TOL, SimplexNumericalError
 from gridctrl.place_lp import (
@@ -18,7 +18,6 @@ from gridctrl.place_lp import (
     EffortResult,
     _effort,
     _efforts,
-    check_p_dc_max,
     compare_placements,
     control_effort,
     place_lp_next,

@@ -9,6 +9,9 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from gridctrl import opf, simplex
+from gridctrl.dcsens import ptdf
+from gridctrl.netmodel import InputError
+from gridctrl.place_cv import run_cv_placement
 from gridctrl.simplex import (_AT_LOWER, _AT_UPPER, _BASIC, _FREE, FEAS_TOL, PIVOT_TOL, LpProblem,
                               SimplexNumericalError, SimplexStallError, solve_lp)
 
@@ -180,6 +183,23 @@ def test_degenerate_ties_still_finish():
     res = solve_lp(lp(c, a, b, np.zeros(n), np.full(n, 4.0)))
     assert res.status == "optimal"
     assert res.objective == pytest.approx(-4.0)
+
+
+def test_oversized_lp_is_refused_before_its_tableau_is_built(monkeypatch):
+    """m x (n + m) float64 against TABLEAU_LIMIT_BYTES, the limit itself allowed."""
+    def unbuilt(_p):
+        raise AssertionError("the tableau was built")
+
+    monkeypatch.setattr(simplex, "TABLEAU_LIMIT_BYTES", 2**20)
+    monkeypatch.setattr(simplex, "_Tableau", unbuilt)
+    m, n = 256, 768                             # 256 x 1024 x 8 bytes = 2 MiB
+    p = lp(np.ones(n), np.ones((m, n)), np.ones(m), np.zeros(n), np.ones(n))
+    with pytest.raises(InputError, match=r"^the LP has 256 rows and 768 columns: its simplex "
+                                         r"tableau needs 2 MiB, over the 1 MiB limit$"):
+        solve_lp(p)
+    simplex.check_tableau_size(256, 256)        # 256 x 512 x 8 bytes = 1 MiB
+    with pytest.raises(InputError, match="256 rows and 257 columns"):
+        simplex.check_tableau_size(256, 257)
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +509,8 @@ def test_loop_matches_the_reference_on_preventive_sc_opf(fixture10):
 
 
 def test_loop_matches_the_reference_on_every_cos_curve_lp(fixture10):
-    problems = lps_solved_by(lambda: opf.cos_curve(fixture10, 3, mode=opf.CORRECTIVE))
+    placements, _ = run_cv_placement(ptdf(fixture10), 3)
+    problems = lps_solved_by(lambda: opf.cos_curve(fixture10, placements, mode=opf.CORRECTIVE))
     assert len(problems) == 8
     for p in problems:
         assert_same_path(p)

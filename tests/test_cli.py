@@ -284,7 +284,7 @@ def test_bad_pdc_max_is_input_error(capsys, argv, cap):
     ("sc-opf congested3 --mode corrective --place 1,2", "1e12"),
     ("opf fixture10 --place 1,8", "1e15"),
     ("opf fixture10 --place 1,8", "1e20"),
-    # past about 9e307 a bound difference overflows, which writes no warning
+    # past about 9e307 the width 2 * cap overflows, and still no warning is written
     ("opf fixture10 --place 1,8", "1e308"),
     ("sc-opf fixture10 --place 1,8", "1e308"),
     ("sc-opf congested3 --mode corrective --place 1,2", "1e308")])

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dcsens import InjectionProfile, PtdfMatrix, cv_matrix, incidence, ptdf
+from .dcsens import InjectionProfile, incidence, ptdf
 from .netmodel import InputError, Network
 
 RANK_REL_TOL = 1e-8
@@ -85,9 +85,3 @@ def solve_fixed_flows(net: Network, inj: InjectionProfile,
         flows[free_cols] = sol
     return FixedFlowResult(status="unique", flows=flows)
 
-
-def controllability_rank(placements: list[tuple[int, int]], mat: PtdfMatrix) -> int:
-    """Rank of the stacked CV columns, capped by n_B - 1."""
-    if not placements:
-        return 0
-    return min(matrix_rank(cv_matrix(mat, placements).T), len(mat.bus_ids) - 1)

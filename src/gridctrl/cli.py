@@ -33,10 +33,7 @@ from .place_cv import (
     metric_report,
     run_cv_placement,
 )
-from .place_lp import DeltaStrategy, compare_placements, run_lp_placement
-
-_STRATEGY_FLAGS = {"const": "constant", "limit": "fraction_of_limit",
-                   "reactance": "scaled_reactance"}
+from .place_lp import STRATEGIES, DeltaStrategy, run_lp_placement
 
 
 class _Parser(argparse.ArgumentParser):
@@ -168,11 +165,6 @@ def _nominal_injection(net: Network) -> InjectionProfile:
     for g in net.generators:
         p[net.bus_index[g.bus]] += g.p_min + t * (g.p_max - g.p_min)
     return InjectionProfile(p)
-
-
-def _strategy(args) -> DeltaStrategy:
-    ctor = getattr(DeltaStrategy, _STRATEGY_FLAGS[args.strategy])
-    return ctor(args.param) if args.param is not None else ctor()
 
 
 # --------------------------------------------------------------------------
@@ -315,8 +307,8 @@ def _cmd_place_cv(args) -> None:
 def _cmd_place_lp(args) -> None:
     net = _load(args)
     mat = ptdf(net)
-    strategy = _strategy(args)
-    placements, tables = run_lp_placement(net, mat, args.count, strategy,
+    placements, tables = run_lp_placement(net, mat, args.count,
+                                          DeltaStrategy(args.strategy, args.param),
                                           p_dc_max=args.pdc_max)
     final = tables[-1]
     worst = max((r.total_effort for _p, r in final if not r.all_infeasible),
@@ -332,7 +324,9 @@ def _cmd_place_lp(args) -> None:
         steps = []
         for rows in tables:
             steps.append([
-                {"pair": list(p), "total_effort_mw": r.total_effort,
+                {"pair": list(p),
+                 # inf once the summed efforts pass the float range
+                 "total_effort_mw": r.total_effort if math.isfinite(r.total_effort) else None,
                  "infeasible_sets": r.infeasible_sets, "lp_count": r.lp_count}
                 for p, r in rows])
         _write_json(args.out, {
@@ -357,16 +351,17 @@ def _cmd_compare(args) -> None:
     cv_placements, _ = run_cv_placement(
         mat, args.count, cos_threshold=args.cos_threshold,
         candidate_cap=args.candidate_cap)
-    lp_placements, _ = run_lp_placement(net, mat, args.count, _strategy(args),
+    lp_placements, _ = run_lp_placement(net, mat, args.count,
+                                        DeltaStrategy(args.strategy, args.param),
                                         p_dc_max=args.pdc_max)
-    rows = compare_placements(cv_placements, lp_placements)
+    rows = list(enumerate(zip(cv_placements, lp_placements), start=1))
     if args.output == "json":
         _write_json(args.out, [
-            {"step": r.step, "cv_pair": list(r.cv_pair),
-             "lp_pair": list(r.lp_pair), "agree": r.agree} for r in rows])
+            {"step": step, "cv_pair": list(a), "lp_pair": list(b), "agree": a == b}
+            for step, (a, b) in rows])
         return
     _write_csv(args.out, [("step", "cv_pair", "lp_pair", "agree")]
-               + [(r.step, r.cv_pair, r.lp_pair, int(r.agree)) for r in rows])
+               + [(step, a, b, int(a == b)) for step, (a, b) in rows])
 
 
 def _solution_payload(net: Network, sol) -> dict:
@@ -446,7 +441,7 @@ def _cmd_sc_opf(args) -> None:
 
 def _cmd_cos_curve(args) -> None:
     net = _load(args)
-    strategy = _strategy(args)
+    strategy = DeltaStrategy(args.strategy, args.param)
     if args.max < 0:
         raise InputError("max_count must be >= 0")
     conts = opf_mod.check_contingencies(net, args.contingency or None)
@@ -524,7 +519,7 @@ def _placement_opts(sub, cv: bool, lp: bool) -> None:
 
 
 def _lp_opts(sub) -> None:
-    sub.add_argument("--strategy", choices=sorted(_STRATEGY_FLAGS),
+    sub.add_argument("--strategy", choices=sorted(STRATEGIES),
                      default="const", help="target flow-change strategy")
     sub.add_argument("--param", type=float, default=None,
                      help="strategy parameter (MW, fraction, or scale)")

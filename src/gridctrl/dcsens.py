@@ -71,12 +71,6 @@ class PtdfMatrix:
     bus_ids: tuple[int, ...]
     line_ids: tuple[int, ...]
 
-    def bus_column(self, bus_id: int) -> int:
-        try:
-            return self.bus_ids.index(bus_id)
-        except ValueError:
-            raise InputError(f"no bus with id {bus_id}") from None
-
 
 def ptdf(net: Network) -> PtdfMatrix:
     """PTDF = B_line * reduced-inverse(B_bus), with B_line the incidence
@@ -114,18 +108,6 @@ class InjectionProfile:
                 raise InputError(f"no bus with id {bus_id}")
             p[net.bus_index[bus_id]] += val
         return cls(p)
-
-
-def dc_flow(net: Network, inj: InjectionProfile) -> np.ndarray:
-    """Line flows (MW, in-service line order) for a balanced injection."""
-    return _flows(ptdf(net), inj)
-
-
-def _flows(mat: PtdfMatrix, inj: InjectionProfile) -> np.ndarray:
-    n_bus = len(mat.bus_ids)
-    if inj.p.shape != (n_bus,):
-        raise InputError(f"injection length {inj.p.shape[0]} != n_bus {n_bus}")
-    return mat.values @ inj.p
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,15 +155,6 @@ def check_p_dc_max(p_dc_max: float) -> None:
         raise InputError(f"setpoint cap p_dc_max must be >= 0 MW, got {p_dc_max}")
 
 
-def apply_hvdc(mat: PtdfMatrix, placements: list[tuple[int, int]],
-               p_dc: np.ndarray) -> np.ndarray:
-    """AC flow change (MW) from HVDC setpoints (MW) on the given node pairs."""
-    p_dc = np.asarray(p_dc, dtype=float)
-    if p_dc.shape != (len(placements),):
-        raise InputError(f"{len(placements)} placements but {p_dc.shape} setpoints")
-    return p_dc @ cv_matrix(mat, placements)
-
-
 def tcsc_sensitivity(net: Network, inj: InjectionProfile, line_id: int) -> np.ndarray:
     """d(line flows)/d(reactance of ``line_id``), evaluated analytically, in
     MW per p.u. of reactance for injections ``inj`` in MW.
@@ -194,7 +167,9 @@ def tcsc_sensitivity(net: Network, inj: InjectionProfile, line_id: int) -> np.nd
     mat = ptdf(net)
     row = net.line_row(line_id)
     ln = net.lines_in_service[row]
-    scale = _flows(mat, inj)[row] / ln.reactance
+    if inj.p.shape != (net.n_bus,):
+        raise InputError(f"injection length {inj.p.shape[0]} != n_bus {net.n_bus}")
+    scale = (mat.values @ inj.p)[row] / ln.reactance
     sens = scale * cv(mat, ln.from_bus, ln.to_bus).values
     sens[row] -= scale
     return sens

@@ -29,6 +29,12 @@ class InputError(ValueError):
     """A case, option or argument failed a deliberate check (CLI exit 2)."""
 
 
+# a dense float64 array past this size is refused with an InputError, not
+# built: the simplex tableau, the effort table of a place-lp step and the
+# sign-combination matrix of a place-cv step.  Read at call time.
+DENSE_LIMIT_BYTES = 256 * 2**20
+
+
 class CaseFormatError(InputError):
     """Malformed case file.  Carries a 1-based line/column when known."""
 

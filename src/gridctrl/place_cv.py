@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import netmodel
 from .dcsens import _CV_CHUNK, PtdfMatrix, cv_matrix, node_pairs
 from .netmodel import InputError
 
@@ -31,11 +32,6 @@ VOLUME_EPS = 1e-9
 COS_THRESHOLD = 0.2
 CANDIDATE_CAP = 10
 _SPAN_COS = 1.0 - 1e-9      # candidates at/above this lie in the basis span
-# a larger sign-combination matrix, (3^j - 1) x n_L float64 for j controllers
-# on n_L lines, is refused, not built; scoring holds about five arrays of its
-# size at once (lattice 118, 233 lines: j = 10 takes 110 MiB and peaks near
-# 610 MB, j = 11 would take 314 MiB and peak near 1.7 GB)
-ORTHANT_LIMIT_BYTES = 256 * 2**20
 
 
 @dataclass(frozen=True)
@@ -44,8 +40,7 @@ class VolumeScore:
     dimension: int
 
 
-def row_scores(vectors: np.ndarray, eps: float = VOLUME_EPS
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def row_scores(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """||v||_1, dimension and log_volume of every row v of ``vectors``; see
     module docstring.  Rows go in blocks, which bounds the temporaries."""
     vectors = np.asarray(vectors, dtype=float)
@@ -58,8 +53,8 @@ def row_scores(vectors: np.ndarray, eps: float = VOLUME_EPS
         block = slice(s, s + _CV_CHUNK)
         mags = np.abs(vectors[block])
         norm1[block] = mags.sum(axis=1)
-        dimension[block] = (mags > eps).sum(axis=1)
-        log_volume[block] = np.log(np.maximum(mags, eps, out=mags), out=mags).sum(axis=1)
+        dimension[block] = (mags > VOLUME_EPS).sum(axis=1)
+        log_volume[block] = np.log(np.maximum(mags, VOLUME_EPS, out=mags), out=mags).sum(axis=1)
     return norm1, dimension, log_volume
 
 
@@ -135,15 +130,19 @@ def _log_sum_exp(values: list[float]) -> float:
 
 def check_orthant_size(j: int, n_lines: int) -> None:
     """Refuse to score j controllers on n_lines lines when the matrix of
-    their 3^j - 1 sign combinations would exceed ``ORTHANT_LIMIT_BYTES``."""
+    their 3^j - 1 sign combinations would exceed ``DENSE_LIMIT_BYTES``.
+
+    Scoring holds about five arrays of its size at once (lattice 118, 233
+    lines: j = 10 takes 110 MiB and peaks near 610 MB, j = 11 would take
+    314 MiB and peak near 1.7 GB)."""
     # past 3^40 combinations the size is only a lower bound, so a huge j
     # costs no huge power
     need = (3 ** min(j, 40) - 1) * n_lines * 8
-    if need > ORTHANT_LIMIT_BYTES:
+    if need > netmodel.DENSE_LIMIT_BYTES:
         raise InputError(f"scoring {j} controllers on {n_lines} lines takes 3^{j} - 1 "
                          f"sign combinations: their matrix needs "
                          f"{'over ' if j > 40 else ''}{need >> 20} MiB, "
-                         f"over the {ORTHANT_LIMIT_BYTES >> 20} MiB limit")
+                         f"over the {netmodel.DENSE_LIMIT_BYTES >> 20} MiB limit")
 
 
 def _sign_rows(j: int) -> np.ndarray:
@@ -155,8 +154,7 @@ def _sign_rows(j: int) -> np.ndarray:
     return np.ascontiguousarray(np.delete(signs, (3 ** j - 1) // 2, axis=0))
 
 
-def orthant_volume_sum(selected: list[np.ndarray], candidate: np.ndarray,
-                       eps: float = VOLUME_EPS) -> VolumeScore:
+def orthant_volume_sum(selected: list[np.ndarray], candidate: np.ndarray) -> VolumeScore:
     """Joint score of selected CVs plus one candidate (steps 7-12)."""
     check_orthant_size(len(selected) + 1, len(candidate))
     dirs = _dedupe_directions([np.asarray(v, dtype=float) for v in selected]
@@ -178,9 +176,8 @@ def orthant_volume_sum(selected: list[np.ndarray], candidate: np.ndarray,
     extremes = np.zeros((int(group.max()) + 1, combos.shape[0]))
     np.maximum.at(extremes, group, mags.T)
 
-    clamped = np.maximum(extremes, eps)
-    logs = np.log(clamped).sum(axis=1)
-    dims = (extremes > eps).sum(axis=1)
+    logs = np.log(np.maximum(extremes, VOLUME_EPS)).sum(axis=1)
+    dims = (extremes > VOLUME_EPS).sum(axis=1)
     return VolumeScore(log_volume=_log_sum_exp(list(logs)),
                        dimension=int(dims.max()))
 
@@ -210,11 +207,16 @@ def run_cv_placement(mat: PtdfMatrix, count: int,
         raise InputError("candidate_cap must be >= 1")
     if math.isnan(cos_threshold):
         raise InputError("cos_threshold must be a number, got nan")
-    # the placed vectors are independent, so no step scores more than n_B - 1
-    check_orthant_size(min(count, len(mat.bus_ids) - 1), len(mat.line_ids))
     pairs = node_pairs(mat.bus_ids)
     if not pairs:
         raise InputError("case has no node pair to place")
+    # the placed vectors are independent, so at most n_B - 1 get placed; a
+    # larger count is refused with the error its step n_B would raise
+    most = len(mat.bus_ids) - 1
+    check_orthant_size(min(count, most), len(mat.line_ids))
+    if count > most:
+        raise InputError("all node pairs are already placed" if len(pairs) == 1
+                         else "every remaining pair lies in the span of the basis")
     vectors = cv_matrix(mat, pairs)
     _, dimension, log_volume = row_scores(vectors)
     ranked = _best_first(log_volume, dimension).tolist()
@@ -226,8 +228,6 @@ def run_cv_placement(mat: PtdfMatrix, count: int,
     for _ in range(count - 1):
         free = np.ones(len(pairs), dtype=bool)
         free[chosen] = False
-        if not free.any():
-            raise InputError("all node pairs are already placed")
         cos = orthogonality(vectors[chosen].T, vectors)
         outside = free & (cos < _SPAN_COS)     # at most n_B - 1 pairs get placed
         if not outside.any():

@@ -25,10 +25,10 @@ once:
 NumPy's stacked ``det``, ``svd`` and ``solve`` call LAPACK once per block, so
 a block's numbers, and every output bit, do not depend on the chunk.
 
-Deltas follow one of three strategies (fixed MW, fraction of the line limit,
-scaled reactance) and always take the canonical positive sign; efforts and
-bounds are handled in MW, which is self-consistent because the PTDF and CV
-entries are dimensionless.
+Deltas follow one of the three ``STRATEGIES`` (fixed MW, fraction of the
+line limit, scaled reactance) and always take the canonical positive sign;
+efforts and bounds are handled in MW, which is self-consistent because the
+PTDF and CV entries are dimensionless.
 """
 
 from __future__ import annotations
@@ -39,62 +39,52 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import netmodel
 from .dcsens import PtdfMatrix, check_p_dc_max, cv_matrix, node_pairs
 from .netmodel import InputError, Network
 from .simplex import FEAS_TOL, PIVOT_TOL, LpProblem, SimplexNumericalError, solve_lp
 
 _EFFORT_CHUNK = 1 << 11    # k x k blocks per _efforts call; bounds the stacked temporaries
-# a larger effort table, node pairs x C(n_L, k) float64 at greedy step k, is
-# refused, not built (lattice 118: 6,903 pairs on 233 lines need 1,423 MiB
-# at k = 2)
-EFFORT_LIMIT_BYTES = 256 * 2**20
-
-CONSTANT_MW = "constant"
-OF_LIMIT = "fraction-of-limit"
-OF_REACTANCE = "scaled-reactance"
+# the default parameter of each delta strategy: flat MW, a fraction of the
+# line limit, or MW per p.u. of reactance
+STRATEGIES = {"const": 100.0, "limit": 0.1, "reactance": 1000.0}
 
 
 @dataclass(frozen=True)
 class DeltaStrategy:
-    """Target flow-change magnitude per line, in MW (always positive)."""
+    """Target flow-change magnitude per line, in MW (always positive); a
+    ``kind`` from ``STRATEGIES``, whose default ``param`` it takes."""
 
     kind: str
-    param: float
+    param: float | None = None
 
     def __post_init__(self):
-        if self.kind not in (CONSTANT_MW, OF_LIMIT, OF_REACTANCE):
+        if self.kind not in STRATEGIES:
             raise InputError(f"unknown delta strategy '{self.kind}'")
+        if self.param is None:
+            object.__setattr__(self, "param", STRATEGIES[self.kind])
         if not self.param > 0.0:
             raise InputError(f"strategy parameter must be > 0, got {self.param}")
         if math.isinf(self.param):
             raise InputError(f"strategy parameter must be finite, got {self.param}")
-
-    @classmethod
-    def constant(cls, mw: float = 100.0) -> "DeltaStrategy":
-        return cls(kind=CONSTANT_MW, param=mw)
-
-    @classmethod
-    def fraction_of_limit(cls, fraction: float = 0.1) -> "DeltaStrategy":
-        return cls(kind=OF_LIMIT, param=fraction)
-
-    @classmethod
-    def scaled_reactance(cls, scale: float = 1000.0) -> "DeltaStrategy":
-        return cls(kind=OF_REACTANCE, param=scale)
 
     def deltas(self, net: Network, line_ids: tuple[int, ...]) -> np.ndarray:
         """MW delta per requested line id."""
         out = np.empty(len(line_ids))
         for i, lid in enumerate(line_ids):
             ln = net.lines_in_service[net.line_row(lid)]
-            if self.kind == CONSTANT_MW:
+            if self.kind == "const":
                 out[i] = self.param
-            elif self.kind == OF_LIMIT:
+            elif self.kind == "limit":
                 if math.isinf(ln.limit):
                     raise InputError(
-                        f"line {lid} has no limit; the {OF_LIMIT} strategy needs one")
+                        f"line {lid} has no limit; the fraction-of-limit strategy needs one")
                 out[i] = self.param * ln.limit
             else:
                 out[i] = self.param * ln.reactance
+            if math.isinf(out[i]):
+                raise InputError(f"line {lid}: strategy parameter {self.param} gives a "
+                                 "delta past the float range")
         return out
 
 
@@ -111,15 +101,17 @@ class EffortResult:
 
 def check_effort_size(count: int, n_buses: int, n_lines: int) -> None:
     """Refuse ``count`` greedy steps on n_buses buses and n_lines lines when
-    the largest step's effort table would exceed ``EFFORT_LIMIT_BYTES``."""
+    the largest step's effort table, node pairs x C(n_L, k) float64 at step
+    k, would exceed ``DENSE_LIMIT_BYTES`` (lattice 118: 6,903 pairs on 233
+    lines need 1,423 MiB at k = 2)."""
     k = min(count, n_lines // 2)      # C(n_L, k) peaks at k = n_L // 2
     pairs, sets = math.comb(n_buses, 2), math.comb(n_lines, k)
     need = pairs * sets * 8
-    if need > EFFORT_LIMIT_BYTES:
+    if need > netmodel.DENSE_LIMIT_BYTES:
         raise InputError(f"placing {count} controllers scores {pairs} node pairs on "
                          f"C({n_lines}, {k}) = {sets} target line sets: their effort "
                          f"table needs {need >> 20} MiB, over the "
-                         f"{EFFORT_LIMIT_BYTES >> 20} MiB limit")
+                         f"{netmodel.DENSE_LIMIT_BYTES >> 20} MiB limit")
 
 
 def _effort(cv_rows: np.ndarray, deltas: np.ndarray, p_dc_max: float) -> float | None:
@@ -174,18 +166,27 @@ def _efforts(blocks: np.ndarray, deltas: np.ndarray, p_dc_max: float) -> np.ndar
     u, sigma = np.linalg.svd(blocks[unclear])[:2]
     small = sigma <= PIVOT_TOL * np.maximum(sigma[:, :1], 1.0)
     regular[unclear] = ~small[:, -1]
-    if regular.any():
-        x = np.abs(np.linalg.solve(blocks[regular], deltas[regular][..., None])[..., 0])
-        peak = x.max(axis=1)
-        within = peak <= p_dc_max + FEAS_TOL * (1.0 + peak)
-        efforts[regular] = np.where(within, x.sum(axis=1), np.nan)
+    # a singular block whose largest delta passes 2^500, near the square root
+    # of the float range, is tested and solved in units of a power of two
+    # near that delta: that scales every step exactly, and an effort scales
+    # with its delta and its cap
     rest = deltas[unclear]
-    off_range = np.sqrt((np.einsum("sji,sj->si", u, rest) ** 2 * small).sum(axis=1))
-    reachable = off_range <= 2.0 * FEAS_TOL * (1.0 + np.abs(rest).max(axis=1))
-    for i in unclear[small[:, -1] & reachable]:
-        effort = _effort(blocks[i], deltas[i], p_dc_max)
-        if effort is not None:
-            efforts[i] = effort
+    top = np.abs(rest).max(axis=1)
+    exp = np.frexp(top)[1] * (top > 2.0 ** 500)
+    proj = np.einsum("sji,sj->si", u, np.ldexp(rest, -exp[:, None]))
+    off_range = np.sqrt((proj ** 2 * small).sum(axis=1))
+    reachable = off_range <= np.ldexp(2.0 * FEAS_TOL * (1.0 + top), -exp)
+    with np.errstate(over="ignore"):        # an effort past the float range is inf
+        if regular.any():
+            x = np.abs(np.linalg.solve(blocks[regular], deltas[regular][..., None])[..., 0])
+            peak = x.max(axis=1)
+            within = peak <= p_dc_max + FEAS_TOL * (1.0 + peak)
+            efforts[regular] = np.where(within, x.sum(axis=1), np.nan)
+        for j in np.flatnonzero(small[:, -1] & reachable):
+            i, e = unclear[j], exp[j]
+            effort = _effort(blocks[i], np.ldexp(deltas[i], -e), np.ldexp(p_dc_max, -e))
+            if effort is not None:
+                efforts[i] = np.ldexp(effort, e)
     return efforts
 
 
@@ -245,7 +246,8 @@ def place_lp_next(net: Network, mat: PtdfMatrix,
     for row in efforts:
         feasible = row[~np.isnan(row)]
         # np.cumsum adds in target-set order, one float addition at a time
-        total = float(np.cumsum(feasible)[-1]) if feasible.size else 0.0
+        with np.errstate(over="ignore"):
+            total = float(np.cumsum(feasible)[-1]) if feasible.size else 0.0
         results.append(EffortResult(total_effort=total,
                                     infeasible_sets=n_sets - feasible.size,
                                     lp_count=n_sets))
@@ -274,20 +276,3 @@ def run_lp_placement(net: Network, mat: PtdfMatrix, count: int,
         placements.append(ranked[0][0])
     return placements, tables
 
-
-@dataclass(frozen=True)
-class ComparisonRow:
-    step: int
-    cv_pair: tuple[int, int]
-    lp_pair: tuple[int, int]
-    agree: bool
-
-
-def compare_placements(cv_placements: list[tuple[int, int]],
-                       lp_placements: list[tuple[int, int]]) -> list[ComparisonRow]:
-    """Step-by-step agreement table of the two algorithms' choices."""
-    if len(cv_placements) != len(lp_placements):
-        raise ValueError("placement sequences must have the same length")
-    return [ComparisonRow(step=i + 1, cv_pair=tuple(a), lp_pair=tuple(b),
-                          agree=tuple(a) == tuple(b))
-            for i, (a, b) in enumerate(zip(cv_placements, lp_placements))]

@@ -6,10 +6,10 @@ variables for feasibility), Dantzig pricing with a Bland-rule fallback after
 a degenerate streak so cycling cannot occur, explicit bound-flip steps for
 boxed variables.  Dense tableau storage: this is meant for the small
 problems this package generates, not as a general-purpose LP code, and an
-LP whose tableau would pass ``TABLEAU_LIMIT_BYTES`` is refused unbuilt.  A
-pivot updates only the cells it changes, those in a row where the pivot
-column is nonzero and a column where the pivot row is nonzero; each of them
-gets the same single multiply-subtract the full rank-1 update would give it.
+LP whose tableau would pass ``netmodel.DENSE_LIMIT_BYTES`` is refused
+unbuilt.  A pivot updates only the cells it changes, those in a row where
+the pivot column is nonzero and a column where the pivot row is nonzero;
+each gets the single multiply-subtract the full rank-1 update would give it.
 
 Between iterations the loop keeps what only the entering and the leaving
 column can change: the basic values and their bounds by basis position, and
@@ -27,13 +27,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import netmodel
 from .netmodel import InputError
 
 FEAS_TOL = 1e-7
 PIVOT_TOL = 1e-9
 DEGENERATE_STREAK = 40
 _PIVOT_CHUNK = 1 << 16     # cells per block of a pivot update; bounds its temporaries
-TABLEAU_LIMIT_BYTES = 256 * 2**20     # a larger tableau is refused, not built
 
 _AT_LOWER, _AT_UPPER, _FREE, _BASIC = 0, 1, 2, 3
 # (gate_up, gate_dn) of a movable nonbasic column at that bound
@@ -94,12 +94,12 @@ def _validate(p: LpProblem) -> None:
 
 def check_tableau_size(m: int, n: int) -> None:
     """Refuse an LP of m rows and n columns whose tableau, m x (n + m)
-    float64, would exceed ``TABLEAU_LIMIT_BYTES``."""
+    float64, would exceed ``netmodel.DENSE_LIMIT_BYTES``."""
     need = m * (n + m) * 8
-    if need > TABLEAU_LIMIT_BYTES:
+    if need > netmodel.DENSE_LIMIT_BYTES:
         raise InputError(f"the LP has {m} rows and {n} columns: its simplex tableau "
                          f"needs {need / 2**20:.0f} MiB, over the "
-                         f"{TABLEAU_LIMIT_BYTES >> 20} MiB limit")
+                         f"{netmodel.DENSE_LIMIT_BYTES >> 20} MiB limit")
 
 
 class _Tableau:

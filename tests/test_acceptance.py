@@ -91,7 +91,7 @@ def test_c05_lp_enumeration_counts(fixture10):
     t0 = time.perf_counter()
     mat = ptdf(fixture10)
     _placements, tables = run_lp_placement(
-        fixture10, mat, 3, DeltaStrategy.fraction_of_limit())
+        fixture10, mat, 3, DeltaStrategy("limit"))
     sums = [sum(r.lp_count for _p, r in table) for table in tables]
     assert sums == [45 * 14, 45 * 91, 45 * 364]
     assert sums[1] == 4095 and sums[2] == 16380
@@ -102,7 +102,7 @@ def test_c06_duplicate_pair_is_always_infeasible(fixture10):
     """Doubling up on a placed pair: all C(14,2) two-target programs fail."""
     mat = ptdf(fixture10)
     ranked = place_lp_next(fixture10, mat, [(1, 8)],
-                           DeltaStrategy.fraction_of_limit())
+                           DeltaStrategy("limit"))
     dup = dict(ranked)[(1, 8)]
     assert dup.lp_count == math.comb(14, 2) == 91
     assert dup.infeasible_sets == dup.lp_count

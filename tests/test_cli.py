@@ -304,13 +304,18 @@ _NO_TARGETS = "count 4 exceeds the 3 in-service lines: there is no set of that m
 _SEGMENTS_PAST_LIMIT = ("the LP has 1 rows and 5000000000 columns: its simplex tableau needs "
                         "38147 MiB, over the 256 MiB limit")
 OUT_OF_DOMAIN = [
-    # past the parallel bound n_B - 1: 2 on triangle3, 9 on fixture10
+    # past the parallel bound n_B - 1: 2 on triangle3, 9 on fixture10, 13 on
+    # case14; refused before step 1 is scored
     ("place-cv triangle3 --count 3 --cos-threshold 1.5", _SPAN),
     ("place-cv fixture10 --count 10 --cos-threshold 1.5", _SPAN),
+    ("cos-curve case14 --max 99 --algorithm cv", _SPAN),
     ("place-cv fixture10 --count 2 --cos-threshold nan", "cos_threshold must be a number, got nan"),
     ("place-lp triangle3 --count 4", _NO_TARGETS),
     ("cos-curve triangle3 --max 4 --algorithm lp", _NO_TARGETS),
     ("place-lp triangle3 --count 1 --param inf", "strategy parameter must be finite, got inf"),
+    # 1e308 x a 190 MW limit is inf; 1e308 MW flat is scored
+    ("place-lp fixture10 --count 2 --strategy limit --param 1e308",
+     "line 1: strategy parameter 1e+308 gives a delta past the float range"),
     ("opf case14 --segments 0", "n_segments must be >= 1, got 0"),
     ("opf case14 --segments -1", "n_segments must be >= 1, got -1"),
     ("cos-curve case14 --max 1 --segments 0", "n_segments must be >= 1, got 0"),
@@ -337,7 +342,7 @@ def test_out_of_domain_value_is_input_error(capsys, tmp_path, command, message):
 
 def test_tableau_past_limit_is_input_error(capsys, tmp_path, monkeypatch):
     """The SC-OPF LP is refused before its tableau is allocated."""
-    monkeypatch.setattr("gridctrl.simplex.TABLEAU_LIMIT_BYTES", 2**20)
+    monkeypatch.setattr("gridctrl.netmodel.DENSE_LIMIT_BYTES", 2**20)
     net = load_case("case14")                   # every line limited to 200 MW
     case = tmp_path / "case14_limited.json"
     case.write_text(serialize_case(replace(net, lines=tuple(
@@ -353,7 +358,7 @@ def test_tableau_past_limit_is_input_error(capsys, tmp_path, monkeypatch):
 
 def test_orthant_past_limit_is_input_error(capsys, tmp_path, monkeypatch):
     """place-cv is refused before its sign-combination matrix is built."""
-    monkeypatch.setattr("gridctrl.place_cv.ORTHANT_LIMIT_BYTES", 2**20)
+    monkeypatch.setattr("gridctrl.netmodel.DENSE_LIMIT_BYTES", 2**20)
     target = tmp_path / "place.json"
     code, out, err = cli(capsys, "place-cv", FIXTURE10, "--count", "9",
                          "--out", str(target))
@@ -365,7 +370,7 @@ def test_orthant_past_limit_is_input_error(capsys, tmp_path, monkeypatch):
 
 def test_effort_table_past_limit_is_input_error(capsys, tmp_path, monkeypatch):
     """place-lp is refused before its largest step's effort table is built."""
-    monkeypatch.setattr("gridctrl.place_lp.EFFORT_LIMIT_BYTES", 2**20)
+    monkeypatch.setattr("gridctrl.netmodel.DENSE_LIMIT_BYTES", 2**20)
     target = tmp_path / "place.json"
     code, out, err = cli(capsys, "place-lp", str(case_path("case14")), "--count", "4",
                          "--out", str(target))
@@ -759,6 +764,63 @@ def test_compare_placements_agree(capsys):
                           "--count", "1", "--strategy", "limit")
     assert code == 0
     assert out.splitlines() == ["step,cv_pair,lp_pair,agree", "1,1-8,1-8,1"]
+
+
+def test_compare_placements_flags(capsys):
+    """One row per step: each algorithm's pair and whether the two agree."""
+    code, out, err = cli(capsys, "compare-placements", FIXTURE10, "--count", "2")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["step,cv_pair,lp_pair,agree", "1,1-8,1-8,1", "2,3-6,5-9,0"]
+    code, out, err = cli(capsys, "compare-placements", FIXTURE10, "--count", "2",
+                         "--output", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == [
+        {"step": 1, "cv_pair": [1, 8], "lp_pair": [1, 8], "agree": True},
+        {"step": 2, "cv_pair": [3, 6], "lp_pair": [5, 9], "agree": False}]
+
+
+@pytest.mark.parametrize("argv", [
+    ["cos-curve", CASE14, "--max", "99", "--algorithm", "cv"],
+    ["place-cv", FIXTURE10, "--count", "10", "--cos-threshold", "1.5"],
+    ["compare-placements", FIXTURE10, "--count", "10"]])
+def test_cv_count_past_the_parallel_bound_is_refused_unscored(capsys, monkeypatch, argv):
+    """A count past n_B - 1 gets the error its step n_B would raise, before
+    any step is scored."""
+    calls = []
+    monkeypatch.setattr("gridctrl.place_cv.orthant_volume_sum", lambda *a: calls.append(a))
+    code, out, err = cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {_SPAN}\n")
+    assert calls == []
+
+
+def test_cv_count_past_the_one_pair_of_two_buses(capsys, tmp_path):
+    path = tmp_path / "two.json"
+    path.write_text(native_doc([1, 2], [(1, 1, 2, 0.1, "unlimited")]))
+    code, out, err = cli(capsys, "place-cv", str(path), "--count", "2")
+    assert (code, out, err) == (2, "", "error: all node pairs are already placed\n")
+    code, out, err = cli(capsys, "place-cv", str(path), "--count", "1")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[:2] == ["placement,pair", "1,1-2"]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("output", ["csv", "json"])
+@pytest.mark.parametrize("argv", [
+    ["place-lp", FIXTURE10, "--count", "2"],
+    ["place-lp", CASE14, "--count", "2"],
+    ["place-lp", TRIANGLE3, "--count", "2"],
+    ["place-lp", CONGESTED3, "--count", "2"],
+    ["place-lp", FIXTURE10, "--count", "2", "--strategy", "reactance"],
+    ["cos-curve", TRIANGLE3, "--max", "2", "--algorithm", "lp"]])
+def test_huge_param_runs_without_warnings(capsys, argv, output):
+    """Efforts past the float range sum to inf, which JSON prints as null;
+    no step of the scoring overflows on the way (a warning here is an error)."""
+    code, out, err = cli(capsys, *argv, "--param", "1e308", "--output", output)
+    assert (code, err) == (0, "")
+    if argv[0] == "place-lp" and output == "json":
+        efforts = [c["total_effort_mw"] for step in json.loads(out)["steps"] for c in step]
+        assert None in efforts
+        assert all(e is None or math.isfinite(e) for e in efforts)
 
 
 def test_metrics_footer(capsys):

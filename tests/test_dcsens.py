@@ -17,14 +17,12 @@ from gridctrl.dcsens import (
     BALANCE_TOL,
     DisconnectedNetworkError,
     InjectionProfile,
-    apply_hvdc,
     _frozen,
     _reduced_inverse,
     _require_connected,
     bridges,
     cv,
     cv_matrix,
-    dc_flow,
     incidence,
     lodf,
     node_pairs,
@@ -159,7 +157,7 @@ def test_ptdf_columns_are_pair_responses(triangle3, fixture10, case14, congested
                 continue
             oracle = angle_flows(net, unit_pair(net, b, net.slack_id))
             np.testing.assert_allclose(
-                mat.values[:, mat.bus_column(b)], oracle, atol=1e-12)
+                mat.values[:, net.bus_index[b]], oracle, atol=1e-12)
 
 
 def test_ptdf_readonly(fixture10):
@@ -175,11 +173,6 @@ def test_ptdf_disconnected_raises():
     )
     with pytest.raises(DisconnectedNetworkError):
         ptdf(net)
-
-
-def test_bus_column_unknown(fixture10):
-    with pytest.raises(InputError, match="no bus with id 99"):
-        ptdf(fixture10).bus_column(99)
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +208,11 @@ def test_injection_from_pairs_unknown_bus(fixture10):
         InjectionProfile.from_pairs(fixture10, {99: 1.0, 1: -1.0})
 
 
+# the DC line flows of an injection are ptdf(net).values @ p
+
+
 def test_dc_flow_zero(fixture10):
-    flows = dc_flow(fixture10, InjectionProfile(np.zeros(10)))
+    flows = ptdf(fixture10).values @ InjectionProfile(np.zeros(10)).p
     np.testing.assert_array_equal(flows, 0.0)
 
 
@@ -224,20 +220,20 @@ def test_dc_flow_matches_oracle(fixture10, case14):
     for net in (fixture10, case14):
         for inj in balanced_profiles(net, 5, seed=11):
             np.testing.assert_allclose(
-                dc_flow(net, inj), angle_flows(net, inj.p), atol=1e-10)
+                ptdf(net).values @ inj.p, angle_flows(net, inj.p), atol=1e-10)
 
 
 def test_dc_flow_superposition(fixture10):
     a, b = list(balanced_profiles(fixture10, 2, seed=3))
-    both = InjectionProfile(a.p + b.p)
+    values = ptdf(fixture10).values
     np.testing.assert_allclose(
-        dc_flow(fixture10, both),
-        dc_flow(fixture10, a) + dc_flow(fixture10, b), atol=1e-12)
+        values @ (a.p + b.p), values @ a.p + values @ b.p, atol=1e-12)
 
 
 def test_dc_flow_length_check(fixture10):
-    with pytest.raises(ValueError, match="n_bus"):
-        dc_flow(fixture10, InjectionProfile(np.zeros(4)))
+    """tcsc_sensitivity refuses an injection of the wrong length."""
+    with pytest.raises(InputError, match="^injection length 4 != n_bus 10$"):
+        tcsc_sensitivity(fixture10, InjectionProfile(np.zeros(4)), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +261,7 @@ def test_cv_against_slack_is_ptdf_column(fixture10):
     mat = ptdf(fixture10)
     np.testing.assert_allclose(
         cv(mat, 5, fixture10.slack_id).values,
-        mat.values[:, mat.bus_column(5)], atol=1e-15)
+        mat.values[:, fixture10.bus_index[5]], atol=1e-15)
 
 
 def test_cv_same_bus_rejected(fixture10):
@@ -286,8 +282,8 @@ def test_cv_matrix_rows_are_cv_bitwise(triangle3, congested3, fixture10, case14)
         assert rows.shape == (len(pairs), len(mat.line_ids))
         for row, (m, n) in zip(rows, pairs):
             assert np.array_equal(row, cv(mat, m, n).values)
-            assert np.array_equal(row, mat.values[:, mat.bus_column(m)]
-                                  - mat.values[:, mat.bus_column(n)])
+            assert np.array_equal(row, mat.values[:, net.bus_index[m]]
+                                  - mat.values[:, net.bus_index[n]])
 
 
 def test_cv_matrix_errors(fixture10):
@@ -299,28 +295,29 @@ def test_cv_matrix_errors(fixture10):
         cv_matrix(mat, [(1, 2), (4, 4)])
 
 
+# the AC flow change of HVDC setpoints p_dc on node pairs is
+# p_dc @ cv_matrix(mat, pairs)
+
+
 def test_apply_hvdc_zero(fixture10):
     mat = ptdf(fixture10)
-    np.testing.assert_array_equal(
-        apply_hvdc(mat, [(1, 8), (3, 6)], np.zeros(2)), 0.0)
+    np.testing.assert_array_equal(np.zeros(2) @ cv_matrix(mat, [(1, 8), (3, 6)]), 0.0)
 
 
 def test_apply_hvdc_single_unit(fixture10):
     mat = ptdf(fixture10)
     np.testing.assert_allclose(
-        apply_hvdc(mat, [(2, 9)], np.array([1.0])), cv(mat, 2, 9).values)
+        np.array([1.0]) @ cv_matrix(mat, [(2, 9)]),
+        angle_flows(fixture10, unit_pair(fixture10, 2, 9)), atol=1e-12)
 
 
 def test_apply_hvdc_superposes(fixture10):
-    mat = ptdf(fixture10)
-    got = apply_hvdc(mat, [(1, 8), (3, 6)], np.array([0.7, -1.2]))
-    want = 0.7 * cv(mat, 1, 8).values - 1.2 * cv(mat, 3, 6).values
-    np.testing.assert_allclose(got, want, atol=1e-15)
-
-
-def test_apply_hvdc_shape_check(fixture10):
-    with pytest.raises(ValueError, match="setpoints"):
-        apply_hvdc(ptdf(fixture10), [(1, 8)], np.zeros(2))
+    """0.7 MW from 1 to 8 and -1.2 MW from 3 to 6 move the flows as the
+    angle solve of those four injections does."""
+    got = np.array([0.7, -1.2]) @ cv_matrix(ptdf(fixture10), [(1, 8), (3, 6)])
+    want = angle_flows(fixture10, 0.7 * unit_pair(fixture10, 1, 8)
+                       - 1.2 * unit_pair(fixture10, 3, 6))
+    np.testing.assert_allclose(got, want, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 from scipy.stats import rankdata, spearmanr
 
-from gridctrl import place_cv
+from gridctrl import netmodel, place_cv
 from gridctrl.dcsens import PtdfMatrix, cv, cv_matrix, node_pairs, ptdf
 from gridctrl.netmodel import Bus, InputError, Line, Network
 from gridctrl.place_cv import (
@@ -257,7 +257,7 @@ def test_orthant_all_cancelling_rejected():
 
 
 def test_orthant_size_limit():
-    """(3^j - 1) x n_L float64 against ORTHANT_LIMIT_BYTES, in integers only:
+    """(3^j - 1) x n_L float64 against DENSE_LIMIT_BYTES, in integers only:
     j = 10 fits on the 233 lines of a 118-bus lattice, j = 11 does not."""
     check_orthant_size(10, 233)
     with pytest.raises(InputError, match=r"^scoring 11 controllers on 233 lines takes "
@@ -273,7 +273,7 @@ def test_orthant_size_limit():
 def test_orthant_past_limit_is_refused_before_any_work(fixture10, monkeypatch):
     """A run is refused before its CV matrix is built, and a direct call
     before its sign combinations are."""
-    monkeypatch.setattr(place_cv, "ORTHANT_LIMIT_BYTES", 2**9)
+    monkeypatch.setattr(netmodel, "DENSE_LIMIT_BYTES", 2**9)
     calls = []
     monkeypatch.setattr(place_cv, "cv_matrix", lambda *a: calls.append(a))
     with pytest.raises(InputError, match=r"3\^3 - 1 sign combinations"):

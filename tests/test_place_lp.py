@@ -18,7 +18,6 @@ from gridctrl.place_lp import (
     EffortResult,
     _effort,
     _efforts,
-    compare_placements,
     control_effort,
     place_lp_next,
     run_lp_placement,
@@ -58,37 +57,41 @@ def wheatstone() -> Network:
 
 
 def test_strategy_defaults():
-    assert DeltaStrategy.constant().param == 100.0
-    assert DeltaStrategy.fraction_of_limit().param == 0.1
-    assert DeltaStrategy.scaled_reactance().param == 1000.0
+    """The README's defaults: 100 MW, a tenth of the limit, 1000 MW per p.u."""
+    assert DeltaStrategy("const").param == 100.0
+    assert DeltaStrategy("limit").param == 0.1
+    assert DeltaStrategy("reactance").param == 1000.0
+    assert DeltaStrategy("limit", 0.25).param == 0.25
 
 
 def test_strategy_validation():
-    with pytest.raises(ValueError, match="unknown delta strategy"):
-        DeltaStrategy(kind="percent", param=1.0)
+    for kind in ("percent", "constant", "fraction-of-limit"):
+        with pytest.raises(InputError, match=f"^unknown delta strategy '{kind}'$"):
+            DeltaStrategy(kind)
     with pytest.raises(ValueError, match="must be > 0"):
-        DeltaStrategy.constant(0.0)
+        DeltaStrategy("const", 0.0)
     with pytest.raises(ValueError, match="must be > 0"):
-        DeltaStrategy.constant(math.nan)
+        DeltaStrategy("const", math.nan)
 
 
 def test_strategy_deltas_mw(fixture10):
     ids = (1, 5, 11)
     np.testing.assert_allclose(
-        DeltaStrategy.constant(100.0).deltas(fixture10, ids), [100.0] * 3)
+        DeltaStrategy("const", 100.0).deltas(fixture10, ids), [100.0] * 3)
     # limits 190 / 100 / 105 MW
     np.testing.assert_allclose(
-        DeltaStrategy.fraction_of_limit(0.1).deltas(fixture10, ids),
+        DeltaStrategy("limit", 0.1).deltas(fixture10, ids),
         [19.0, 10.0, 10.5])
     # reactances 0.06 / 0.08 / 0.20
     np.testing.assert_allclose(
-        DeltaStrategy.scaled_reactance(1000.0).deltas(fixture10, ids),
+        DeltaStrategy("reactance", 1000.0).deltas(fixture10, ids),
         [60.0, 80.0, 200.0])
 
 
 def test_strategy_needs_limits(triangle3):
-    with pytest.raises(ValueError, match="no limit"):
-        DeltaStrategy.fraction_of_limit().deltas(triangle3, (1,))
+    with pytest.raises(InputError,
+                       match="^line 1 has no limit; the fraction-of-limit strategy needs one$"):
+        DeltaStrategy("limit").deltas(triangle3, (1,))
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +100,7 @@ def test_strategy_needs_limits(triangle3):
 
 def test_effort_single_target_closed_form(fixture10):
     mat = ptdf(fixture10)
-    strat = DeltaStrategy.constant(100.0)
+    strat = DeltaStrategy("const", 100.0)
     v = cv(mat, 1, 8).values
     got = control_effort(mat, [(1, 8)], [1], strat, net=fixture10)
     assert got == pytest.approx(100.0 / abs(v[0]), rel=1e-9)
@@ -105,16 +108,16 @@ def test_effort_single_target_closed_form(fixture10):
 
 def test_effort_scales_with_delta(fixture10):
     mat = ptdf(fixture10)
-    one = control_effort(mat, [(1, 8)], [3], DeltaStrategy.constant(100.0),
+    one = control_effort(mat, [(1, 8)], [3], DeltaStrategy("const", 100.0),
                          net=fixture10)
-    two = control_effort(mat, [(1, 8)], [3], DeltaStrategy.constant(200.0),
+    two = control_effort(mat, [(1, 8)], [3], DeltaStrategy("const", 200.0),
                          net=fixture10)
     assert two == pytest.approx(2.0 * one, rel=1e-9)
 
 
 def test_effort_setpoint_cap(fixture10):
     mat = ptdf(fixture10)
-    strat = DeltaStrategy.constant(100.0)
+    strat = DeltaStrategy("const", 100.0)
     needed = 100.0 / abs(cv(mat, 1, 8).values[0])
     assert control_effort(mat, [(1, 8)], [1], strat,
                           p_dc_max=needed * 1.01, net=fixture10) is not None
@@ -126,7 +129,7 @@ def test_effort_two_controllers_two_targets(fixture10):
     """With as many controllers as targets the equality system is square;
     the LP answer must reproduce the direct solve."""
     mat = ptdf(fixture10)
-    strat = DeltaStrategy.constant(100.0)
+    strat = DeltaStrategy("const", 100.0)
     placements = [(1, 8), (3, 6)]
     targets = [2, 11]
     cols = np.column_stack([cv(mat, m, n).values for m, n in placements])
@@ -138,7 +141,7 @@ def test_effort_two_controllers_two_targets(fixture10):
 
 def test_effort_zero_cv_target_infeasible(wheatstone):
     mat = ptdf(wheatstone)
-    strat = DeltaStrategy.constant(100.0)
+    strat = DeltaStrategy("const", 100.0)
     assert control_effort(mat, [(1, 3)], [5], strat, net=wheatstone) is None
     assert control_effort(mat, [(1, 3)], [2], strat,
                           net=wheatstone) == pytest.approx(200.0)
@@ -204,7 +207,7 @@ def test_effort_cap_boundary_is_the_lp_rule(fixture10):
     one over it by twice that is not; where the effort LP's verdict is
     clear-cut (at the cap up to roundoff, or past the band) it agrees."""
     mat = ptdf(fixture10)
-    strat = DeltaStrategy.constant(100.0)
+    strat = DeltaStrategy("const", 100.0)
     block = cv(mat, 1, 8).values[:1, None]
     delta = np.array([100.0])
     effort = control_effort(mat, [(1, 8)], [1], strat, net=fixture10)
@@ -233,7 +236,7 @@ def test_setpoint_at_the_cap_up_to_roundoff_is_feasible(fixture10, candidate, ef
     block = cv_matrix(mat, placements).T[[mat.line_ids.index(t) for t in targets]]
     peak = np.abs(np.linalg.solve(block, np.full(3, 100.0))).max()
     assert peak == pytest.approx(300.0, rel=1e-12)
-    got = control_effort(mat, placements, targets, DeltaStrategy.constant(100.0),
+    got = control_effort(mat, placements, targets, DeltaStrategy("const", 100.0),
                          p_dc_max=300.0, net=fixture10)
     assert got == pytest.approx(effort, rel=1e-12)
     assert _effort(block, np.full(3, 100.0), 300.0) == pytest.approx(effort, rel=1e-12)
@@ -257,7 +260,7 @@ def test_singular_reachable_block_uses_lp(wheatstone, fixture10, lp_calls):
     """Two copies of (1,3) see lines 1 and 3 alike: a singular block whose
     delta lies in its range, so only the LP knows how to split the setpoints."""
     mat = ptdf(wheatstone)
-    strat = DeltaStrategy.constant(100.0)
+    strat = DeltaStrategy("const", 100.0)
     placements, targets = [(1, 3), (1, 3)], [1, 3]
     assert control_effort(mat, placements, targets, strat,
                           net=wheatstone) == pytest.approx(200.0)
@@ -273,7 +276,7 @@ def test_singular_reachable_block_uses_lp(wheatstone, fixture10, lp_calls):
 
 def test_effort_validation(fixture10):
     mat = ptdf(fixture10)
-    strat = DeltaStrategy.constant(100.0)
+    strat = DeltaStrategy("const", 100.0)
     with pytest.raises(ValueError, match="as many targets"):
         control_effort(mat, [(1, 8)], [1, 2], strat, net=fixture10)
     with pytest.raises(ValueError, match="distinct"):
@@ -300,7 +303,7 @@ def test_all_infeasible_property():
 def test_first_step_matches_closed_form(fixture10):
     """k = 1 efforts are sums of per-line |delta / cv| ratios."""
     mat = ptdf(fixture10)
-    strat = DeltaStrategy.constant(100.0)
+    strat = DeltaStrategy("const", 100.0)
     ranked = place_lp_next(fixture10, mat, [], strat)
     assert len(ranked) == 45
     by_pair = dict(ranked)
@@ -317,14 +320,14 @@ def test_first_step_matches_closed_form(fixture10):
 
 def test_first_pick_of_limit_strategy(fixture10):
     mat = ptdf(fixture10)
-    ranked = place_lp_next(fixture10, mat, [], DeltaStrategy.fraction_of_limit())
+    ranked = place_lp_next(fixture10, mat, [], DeltaStrategy("limit"))
     assert ranked[0][0] == (1, 8)
 
 
 def test_duplicate_controller_ranks_last(fixture10):
     """A second copy of an existing pair cannot hit two independent targets."""
     mat = ptdf(fixture10)
-    strat = DeltaStrategy.constant(100.0)
+    strat = DeltaStrategy("const", 100.0)
     ranked = place_lp_next(fixture10, mat, [(1, 8)], strat)
     by_pair = dict(ranked)
     dup = by_pair[(1, 8)]
@@ -336,7 +339,7 @@ def test_duplicate_controller_ranks_last(fixture10):
 def test_run_lp_placement_two_steps(fixture10):
     mat = ptdf(fixture10)
     placements, tables = run_lp_placement(
-        fixture10, mat, 2, DeltaStrategy.fraction_of_limit())
+        fixture10, mat, 2, DeltaStrategy("limit"))
     assert placements == [(1, 8), (5, 9)]
     assert [len(t) for t in tables] == [45, 45]
     assert sum(r.lp_count for _p, r in tables[0]) == 630
@@ -348,27 +351,23 @@ def test_run_lp_placement_two_steps(fixture10):
 
 def test_run_lp_placement_count_validation(fixture10):
     with pytest.raises(ValueError, match="count"):
-        run_lp_placement(fixture10, ptdf(fixture10), 0, DeltaStrategy.constant())
+        run_lp_placement(fixture10, ptdf(fixture10), 0, DeltaStrategy("const"))
 
 
-# ---------------------------------------------------------------------------
-# comparison table
-
-
-def test_compare_placements_flags():
-    rows = compare_placements([(1, 8), (3, 6)], [(1, 8), (5, 9)])
-    assert [r.agree for r in rows] == [True, False]
-    assert rows[0].step == 1 and rows[1].step == 2
-    assert rows[1].cv_pair == (3, 6) and rows[1].lp_pair == (5, 9)
-
-
-def test_compare_placements_empty():
-    assert compare_placements([], []) == []
-
-
-def test_compare_placements_length_check():
-    with pytest.raises(ValueError, match="same length"):
-        compare_placements([(1, 2)], [])
+@pytest.mark.filterwarnings("error")
+def test_feasibility_does_not_depend_on_the_delta_scale(fixture10, case14):
+    """With no cap a target set is reachable or not whatever the size of its
+    deltas, so flat 1e308 MW deltas, whose squares pass the float range, get
+    the verdicts of 100 MW."""
+    for net in (fixture10, case14):
+        mat = ptdf(net)
+        for existing in ([], [(1, 2)]):
+            verdicts = [sorted((p, r.infeasible_sets) for p, r in
+                               place_lp_next(net, mat, existing, DeltaStrategy("const", mw)))
+                        for mw in (100.0, 1e308)]
+            assert verdicts[0] == verdicts[1]
+            if existing:                # blocks holding (1, 2) twice miss some sets
+                assert any(n for _p, n in verdicts[0])
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +470,7 @@ def test_screen_sends_only_singular_blocks_to_the_svd(fixture10):
     the determinant bound clears all of them and the SVD sees exactly the
     singular ones, the 91 blocks of the duplicate (1, 8) among them."""
     mat = ptdf(fixture10)
-    strat = DeltaStrategy.constant(100.0)
+    strat = DeltaStrategy("const", 100.0)
     target_sets = np.array(list(itertools.combinations(range(len(mat.line_ids)), 2)))
     blocks = np.concatenate([np.column_stack([cv(mat, 1, 8).values, vec])[target_sets]
                              for vec in cv_matrix(mat, node_pairs(mat.bus_ids))])
@@ -500,8 +499,8 @@ def test_place_lp_next_matches_reference_bits(net, data):
     blocks."""
     pairs = node_pairs(net.bus_ids)
     existing = data.draw(st.lists(st.sampled_from(pairs), max_size=2), label="existing")
-    strategy = data.draw(st.sampled_from([DeltaStrategy.constant(100.0),
-                                          DeltaStrategy.scaled_reactance(1000.0)]))
+    strategy = data.draw(st.sampled_from([DeltaStrategy("const", 100.0),
+                                          DeltaStrategy("reactance", 1000.0)]))
     p_dc_max = data.draw(st.one_of(st.sampled_from([math.inf, 50.0, 300.0, 2000.0]),
                                    st.floats(0.0, 1e4)), label="p_dc_max")
     chunk = data.draw(st.sampled_from([place_lp._EFFORT_CHUNK, 1, 3, 40]), label="chunk")
@@ -526,7 +525,7 @@ def test_effort_lps_agree_with_highs(wheatstone, effort_lps):
     makes sure both statuses are among them when this test runs alone."""
     mat = ptdf(wheatstone)
     for cap in (math.inf, 150.0, 99.0):
-        control_effort(mat, [(1, 3), (1, 3)], [1, 3], DeltaStrategy.constant(100.0),
+        control_effort(mat, [(1, 3), (1, 3)], [1, 3], DeltaStrategy("const", 100.0),
                        p_dc_max=cap, net=wheatstone)
     statuses = set()
     for problem, res in effort_lps:

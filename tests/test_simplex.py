@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from gridctrl import opf, simplex
+from gridctrl import netmodel, opf, simplex
 from gridctrl.dcsens import ptdf
 from gridctrl.netmodel import InputError
 from gridctrl.place_cv import run_cv_placement
@@ -186,11 +186,11 @@ def test_degenerate_ties_still_finish():
 
 
 def test_oversized_lp_is_refused_before_its_tableau_is_built(monkeypatch):
-    """m x (n + m) float64 against TABLEAU_LIMIT_BYTES, the limit itself allowed."""
+    """m x (n + m) float64 against DENSE_LIMIT_BYTES, the limit itself allowed."""
     def unbuilt(_p):
         raise AssertionError("the tableau was built")
 
-    monkeypatch.setattr(simplex, "TABLEAU_LIMIT_BYTES", 2**20)
+    monkeypatch.setattr(netmodel, "DENSE_LIMIT_BYTES", 2**20)
     monkeypatch.setattr(simplex, "_Tableau", unbuilt)
     m, n = 256, 768                             # 256 x 1024 x 8 bytes = 2 MiB
     p = lp(np.ones(n), np.ones((m, n)), np.ones(m), np.zeros(n), np.ones(n))

@@ -173,20 +173,23 @@ def _efforts(blocks: np.ndarray, deltas: np.ndarray, p_dc_max: float) -> np.ndar
     rest = deltas[unclear]
     top = np.abs(rest).max(axis=1)
     exp = np.frexp(top)[1] * (top > 2.0 ** 500)
-    proj = np.einsum("sji,sj->si", u, np.ldexp(rest, -exp[:, None]))
+    scaled = np.ldexp(rest, -exp[:, None])
+    proj = np.einsum("sji,sj->si", u, scaled)
     off_range = np.sqrt((proj ** 2 * small).sum(axis=1))
     reachable = off_range <= np.ldexp(2.0 * FEAS_TOL * (1.0 + top), -exp)
+    lp = small[:, -1] & reachable
+    caps = np.ldexp(p_dc_max, -exp)
     with np.errstate(over="ignore"):        # an effort past the float range is inf
         if regular.any():
             x = np.abs(np.linalg.solve(blocks[regular], deltas[regular][..., None])[..., 0])
             peak = x.max(axis=1)
             within = peak <= p_dc_max + FEAS_TOL * (1.0 + peak)
             efforts[regular] = np.where(within, x.sum(axis=1), np.nan)
-        for j in np.flatnonzero(small[:, -1] & reachable):
-            i, e = unclear[j], exp[j]
-            effort = _effort(blocks[i], np.ldexp(deltas[i], -e), np.ldexp(p_dc_max, -e))
+        for j in np.flatnonzero(lp):
+            effort = _effort(blocks[unclear[j]], scaled[j], caps[j])
             if effort is not None:
-                efforts[i] = np.ldexp(effort, e)
+                efforts[unclear[j]] = effort
+        efforts[unclear[lp]] = np.ldexp(efforts[unclear[lp]], exp[lp])
     return efforts
 
 
@@ -243,14 +246,14 @@ def place_lp_next(net: Network, mat: PtdfMatrix,
         efforts[lo:lo + step] = chunk.reshape(len(last), n_sets)
 
     results = []
-    for row in efforts:
-        feasible = row[~np.isnan(row)]
-        # np.cumsum adds in target-set order, one float addition at a time
-        with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):        # a sum past the float range is inf
+        for row in efforts:
+            feasible = row[~np.isnan(row)]
+            # np.cumsum adds in target-set order, one float addition at a time
             total = float(np.cumsum(feasible)[-1]) if feasible.size else 0.0
-        results.append(EffortResult(total_effort=total,
-                                    infeasible_sets=n_sets - feasible.size,
-                                    lp_count=n_sets))
+            results.append(EffortResult(total_effort=total,
+                                        infeasible_sets=n_sets - feasible.size,
+                                        lp_count=n_sets))
     ranked = sorted(zip(pairs, results),
                     key=lambda item: (item[1].all_infeasible, item[1].total_effort, item[0]))
     return ranked

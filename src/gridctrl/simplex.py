@@ -102,6 +102,25 @@ def check_tableau_size(m: int, n: int) -> None:
                          f"{netmodel.DENSE_LIMIT_BYTES >> 20} MiB limit")
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def _slack_crash(p: LpProblem, start: np.ndarray, resid: np.ndarray):
+    """(rows, cols, values): the columns that start basic in place of an
+    artificial, one per row at most.
+
+    Column j may take row i when a_ij is its only nonzero, |a_ij| > PIVOT_TOL,
+    and start_j + resid_i / a_ij lies in its box; of several, the lowest index
+    takes the row.  A value past the float range is no candidate.
+    """
+    single = np.flatnonzero(np.count_nonzero(p.a_eq, axis=0) == 1)
+    _, rows = np.nonzero(p.a_eq[:, single].T)
+    coefs = p.a_eq[rows, single]
+    values = start[single] + resid[rows] / coefs
+    fits = ((np.abs(coefs) > PIVOT_TOL) & np.isfinite(values)
+            & (values >= p.lower[single]) & (values <= p.upper[single]))
+    rows, first = np.unique(rows[fits], return_index=True)
+    return rows, single[fits][first], values[fits][first]
+
+
 class _Tableau:
     def __init__(self, p: LpProblem):
         self.n = p.c.shape[0]
@@ -121,11 +140,25 @@ class _Tableau:
                                    np.where(start == p.upper, _AT_UPPER, _FREE))
 
         resid = p.b_eq - p.a_eq @ self.x[:n]
+        rows, cols, values = _slack_crash(p, self.x[:n], resid)
         self.signs = np.where(resid >= 0.0, 1.0, -1.0)
         # columns [A, diag(signs)]; initial basis = artificials, B^-1 = diag(signs)
         self.t = self.signs[:, None] * np.hstack([p.a_eq, np.diag(self.signs)])
         self.basis = np.arange(n, n + m)
         self.x[n:] = np.abs(resid)
+        # a crashed column is zero off its row, so taking it into the basis
+        # divides that row by t[i, j] = signs_i a_ij and changes no other row:
+        # t[:, n:] stays B^-1 diag(signs).  Row blocks of at most _PIVOT_CHUNK
+        # cells bound the temporaries.
+        step = max(1, _PIVOT_CHUNK // self.t.shape[1])
+        for s in range(0, rows.size, step):
+            block = rows[s:s + step]
+            self.t[block] /= self.t[block, cols[s:s + step]][:, None]
+        self.basis[rows] = cols
+        self.x[cols] = values
+        self.status[cols] = _BASIC
+        self.x[n + rows] = 0.0
+        self.status[n + rows] = _AT_LOWER
         self.iterations = 0
 
     # a step ratio past the float range is inf, as if that row set no limit

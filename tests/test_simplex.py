@@ -207,7 +207,9 @@ def test_oversized_lp_is_refused_before_its_tableau_is_built(monkeypatch):
 
 
 def test_certificate_rejects_a_phase_two_that_stops_early(monkeypatch):
-    """Phase 1 ends at x = (4, 1); with costs (3, 1) that vertex is not optimal."""
+    """The crash starts x0 at the end of its box nearest 0, its upper bound -1,
+    and x1 basic at 6, so phase 1 has nothing to do; with costs (3, 1) that
+    vertex is not optimal (x0 should fall to -4)."""
     run = simplex._Tableau.run
     calls = []
 
@@ -217,7 +219,7 @@ def test_certificate_rejects_a_phase_two_that_stops_early(monkeypatch):
 
     monkeypatch.setattr(simplex._Tableau, "run", phase_two_stops)
     with pytest.raises(SimplexNumericalError, match="dual feasibility violated at an upper bound"):
-        solve_lp(lp([3.0, 1.0], [[1.0, 1.0]], [5.0], [0.0, 0.0], [4.0, 6.0]))
+        solve_lp(lp([3.0, 1.0], [[1.0, 1.0]], [5.0], [-4.0, 0.0], [-1.0, 10.0]))
 
 
 def test_certificate_checks_reduced_costs_of_basic_columns(monkeypatch):
@@ -494,16 +496,18 @@ def test_pivot_matches_the_full_update_on_block_lps(p):
 def test_pivot_matches_the_full_update_on_corrective_sc_opf(fixture10, monkeypatch):
     """Also with each pivot split into blocks of 16 cells: of several rows, or
     of one row where the pivot row has more than 16 nonzeros."""
-    (p,) = lps_solved_by(lambda: opf.sc_opf(fixture10, [(1, 8)], mode=opf.CORRECTIVE))
+    (p,) = lps_solved_by(lambda: opf.sc_opf(fixture10, [(1, 8), (2, 6), (3, 9), (4, 10)],
+                                            mode=opf.CORRECTIVE))
     res, _ = assert_same_path(p)
-    assert p.b_eq.shape == (197,)
+    assert p.a_eq.shape == (197, 259)
     assert res.status == "optimal" and res.iterations > 100
     monkeypatch.setattr(simplex, "_PIVOT_CHUNK", 16)
     assert_same_path(p)
 
 
 def test_loop_matches_the_reference_on_preventive_sc_opf(fixture10):
-    (p,) = lps_solved_by(lambda: opf.sc_opf(fixture10, [(1, 8), (2, 6)]))
+    (p,) = lps_solved_by(lambda: opf.sc_opf(fixture10,
+                                            [(1, 8), (1, 10), (2, 7), (2, 10), (7, 10)]))
     res, _ = assert_same_path(p)
     assert res.status == "optimal" and res.iterations > 100
 

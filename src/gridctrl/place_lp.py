@@ -184,6 +184,8 @@ def _efforts(blocks: np.ndarray, deltas: np.ndarray, p_dc_max: float) -> np.ndar
             x = np.abs(np.linalg.solve(blocks[regular], deltas[regular][..., None])[..., 0])
             peak = x.max(axis=1)
             within = peak <= p_dc_max + FEAS_TOL * (1.0 + peak)
+            if math.isfinite(p_dc_max):     # inf <= cap + FEAS_TOL * inf holds
+                within &= np.isfinite(peak)
             efforts[regular] = np.where(within, x.sum(axis=1), np.nan)
         for j in np.flatnonzero(lp):
             effort = _effort(blocks[unclear[j]], scaled[j], caps[j])

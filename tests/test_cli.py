@@ -823,6 +823,18 @@ def test_huge_param_runs_without_warnings(capsys, argv, output):
         assert all(e is None or math.isfinite(e) for e in efforts)
 
 
+def test_efforts_past_the_float_range_are_over_a_finite_cap(capsys):
+    """Every setpoint of case14 at --param 1.7e308 overflows, so under a
+    300 MW cap every target set is infeasible and no share prints as nan."""
+    code, out, err = cli(capsys, "place-lp", CASE14, "--count", "1", "--param", "1.7e308",
+                         "--pdc-max", "300")
+    assert (code, err) == (0, "")
+    table = out.split("\n\n")[1].splitlines()
+    assert table[0] == "pair,total_effort_mw,relative_percent,infeasible_sets,lp_count"
+    assert len(table) == 1 + 91 + 1
+    assert all(row.split(",")[1:] == ["0", "", "20", "20"] for row in table[1:-1])
+
+
 def test_metrics_footer(capsys):
     code, out, _err = cli(capsys, "metrics", FIXTURE10)
     assert code == 0

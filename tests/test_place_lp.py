@@ -125,6 +125,16 @@ def test_effort_setpoint_cap(fixture10):
                           p_dc_max=needed * 0.99, net=fixture10) is None
 
 
+def test_setpoints_past_the_float_range_are_over_a_finite_cap():
+    """A regular block whose setpoint overflows to inf is infeasible under any
+    finite cap, though inf <= cap + FEAS_TOL * (1 + inf) holds; with no cap
+    it is reachable, at an effort of inf."""
+    block, delta = np.array([[[1e-3]]]), np.array([[1e308]])
+    assert np.isnan(_efforts(block, delta, 300.0)[0])
+    assert np.isnan(_efforts(block, delta, 1.7e308)[0])
+    assert _efforts(block, delta, math.inf)[0] == math.inf
+
+
 def test_effort_two_controllers_two_targets(fixture10):
     """With as many controllers as targets the equality system is square;
     the LP answer must reproduce the direct solve."""

@@ -11,6 +11,15 @@ unbuilt.  A pivot updates only the cells it changes, those in a row where
 the pivot column is nonzero and a column where the pivot row is nonzero;
 each gets the single multiply-subtract the full rank-1 update would give it.
 
+The start basis is a slack crash (Bixby 1992, ORSA J. Computing 4(3)).
+Every column starts at the point of its box nearest 0.  Row i then takes
+as its basic column the lowest-index column j whose only nonzero is a_ij,
+with |a_ij| > PIVOT_TOL, when x_j + resid_i / a_ij lies in j's box; the
+artificial of such a row starts nonbasic at 0, and only the other rows
+start on their artificial.  The slack of an SC-OPF limit row is such a
+column, so phase 1 works only on the rows whose residual its slack cannot
+hold.
+
 Between iterations the loop keeps what only the entering and the leaving
 column can change: the basic values and their bounds by basis position, and
 per column whether it may enter moving up or down.  Pricing stays the full
@@ -111,14 +120,15 @@ def _slack_crash(p: LpProblem, start: np.ndarray, resid: np.ndarray):
     and start_j + resid_i / a_ij lies in its box; of several, the lowest index
     takes the row.  A value past the float range is no candidate.
     """
-    single = np.flatnonzero(np.count_nonzero(p.a_eq, axis=0) == 1)
-    _, rows = np.nonzero(p.a_eq[:, single].T)
-    coefs = p.a_eq[rows, single]
-    values = start[single] + resid[rows] / coefs
+    rows, cols = np.nonzero(p.a_eq)             # by row, then by column
+    once = np.bincount(cols, minlength=p.c.shape[0])[cols] == 1
+    rows, cols = rows[once], cols[once]
+    coefs = p.a_eq[rows, cols]
+    values = start[cols] + resid[rows] / coefs
     fits = ((np.abs(coefs) > PIVOT_TOL) & np.isfinite(values)
-            & (values >= p.lower[single]) & (values <= p.upper[single]))
+            & (values >= p.lower[cols]) & (values <= p.upper[cols]))
     rows, first = np.unique(rows[fits], return_index=True)
-    return rows, single[fits][first], values[fits][first]
+    return rows, cols[fits][first], values[fits][first]
 
 
 class _Tableau:

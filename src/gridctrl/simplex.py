@@ -152,8 +152,11 @@ class _Tableau:
         resid = p.b_eq - p.a_eq @ self.x[:n]
         rows, cols, values = _slack_crash(p, self.x[:n], resid)
         self.signs = np.where(resid >= 0.0, 1.0, -1.0)
-        # columns [A, diag(signs)]; initial basis = artificials, B^-1 = diag(signs)
-        self.t = self.signs[:, None] * np.hstack([p.a_eq, np.diag(self.signs)])
+        # columns [A, diag(signs)]; initial basis = artificials, B^-1 = diag(signs),
+        # built in one m x (n + m) array
+        self.t = np.zeros((m, n + m))
+        np.multiply(self.signs[:, None], p.a_eq, out=self.t[:, :n])
+        np.fill_diagonal(self.t[:, n:], 1.0)
         self.basis = np.arange(n, n + m)
         self.x[n:] = np.abs(resid)
         # a crashed column is zero off its row, so taking it into the basis
@@ -282,7 +285,7 @@ class _Tableau:
         Only the cells where both column j and row r are nonzero change; every
         other cell would have a product of 0 subtracted from it.  They are
         read and written by flat index into ``t`` (C-contiguous: built by
-        ``np.hstack`` and only ever updated in place, so ``ravel`` is a view),
+        ``np.zeros`` and only ever updated in place, so ``ravel`` is a view),
         which costs less per cell than a two-axis fancy index.  The rows go in
         blocks of at most ``_PIVOT_CHUNK`` cells, which bounds the three
         temporaries (index, product, gathered values) whatever the tableau.

@@ -555,3 +555,122 @@ def test_bland_steps_match_the_reference_on_block_lps(p):
         mp.setattr(simplex, "DEGENERATE_STREAK", 0)
         assert_same_path(p)
 
+
+
+# ---------------------------------------------------------------------------
+# the slack crash: a column whose only nonzero is in row i starts basic in
+# row i when it can hold that row's residual within its box
+
+
+def start_of(p: LpProblem) -> simplex._Tableau:
+    """The start tableau of ``p``, checked: B t = [A, diag(signs)] for the
+    start basis B, the start point solves A x + signs * x_art = b, and every
+    basic column lies in its box."""
+    tab = simplex._Tableau(p)
+    full = np.hstack([p.a_eq, np.diag(tab.signs)])
+    np.testing.assert_allclose(full[:, tab.basis] @ tab.t, full, atol=1e-12)
+    np.testing.assert_allclose(full @ tab.x, p.b_eq, atol=1e-9 * (1 + np.abs(p.b_eq).max()))
+    basic = tab.x[tab.basis]
+    assert (basic >= tab.lower[tab.basis]).all() and (basic <= tab.upper[tab.basis]).all()
+    assert (tab.status[tab.basis] == _BASIC).all()
+    assert (np.flatnonzero(tab.status == _BASIC) == np.sort(tab.basis)).all()
+    return tab
+
+
+@st.composite
+def crash_lps(draw):
+    """small_lps() with rows, or block_lps(), with 1-4 columns appended that
+    each have one integer nonzero in a drawn row, every bound kind and a
+    drawn cost: some fit their row's residual and some do not, and several
+    may share a row."""
+    p = draw(st.one_of(small_lps().filter(lambda p: p.b_eq.size), block_lps()))
+    m, k = p.b_eq.shape[0], draw(st.integers(1, 4))
+
+    def ints(lo, hi):
+        return np.array(draw(st.lists(st.integers(lo, hi), min_size=k, max_size=k)), dtype=float)
+
+    extra = np.zeros((m, k))
+    extra[ints(0, m - 1).astype(int), np.arange(k)] = draw(
+        st.lists(st.sampled_from([-3, -2, -1, 1, 2, 3]), min_size=k, max_size=k))
+    lower = ints(-6, 2)
+    upper = lower + ints(0, 8)
+    kinds = draw(st.lists(st.sampled_from(["box", "lower", "upper", "free"]),
+                          min_size=k, max_size=k))
+    lower[[kind in ("upper", "free") for kind in kinds]] = -INF
+    upper[[kind in ("lower", "free") for kind in kinds]] = INF
+    return lp(np.concatenate([p.c, ints(-3, 3)]), np.hstack([p.a_eq, extra]), p.b_eq,
+              np.concatenate([p.lower, lower]), np.concatenate([p.upper, upper]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=crash_lps())
+def test_agrees_with_highs_from_a_crashed_start(p):
+    start_of(p)
+    assert_agrees_with_highs(p)
+
+
+def test_the_lowest_index_takes_a_row():
+    """Columns 1 and 2 both hold row 0's residual 4 (at 4 and at 2), column 3
+    holds row 1's; column 0 has two nonzeros and never starts basic."""
+    p = lp([1.0, 1.0, 1.0, 1.0], [[1.0, 1.0, 2.0, 0.0], [1.0, 0.0, 0.0, 1.0]], [4.0, 3.0],
+           np.zeros(4), np.full(4, 10.0))
+    tab = start_of(p)
+    assert tab.basis.tolist() == [1, 3]
+    assert tab.x.tolist() == [0.0, 4.0, 0.0, 3.0, 0.0, 0.0]
+    assert tab.status[4:].tolist() == [_AT_LOWER, _AT_LOWER]
+    assert_agrees_with_highs(p)
+
+
+@pytest.mark.parametrize("lower,upper", [(0.0, 3.0), (5.0, 9.0), (-INF, 3.999)],
+                         ids=["above", "below", "just-above"])
+def test_a_residual_outside_the_box_keeps_the_artificial(lower, upper):
+    """Row 0's residual would put column 1 at 4, outside its box, so row 0
+    starts on its artificial; column 2 holds row 1's residual 0."""
+    p = lp([0.0, 1.0, 0.0], [[1.0, 1.0, 0.0], [1.0, 0.0, -1.0]], [4.0, 0.0],
+           [0.0, lower, 0.0], [INF, upper, INF])
+    tab = start_of(p)
+    assert tab.basis.tolist() == [3, 2]
+    assert tab.x[3] == abs(4.0 - tab.x[1])
+    assert_agrees_with_highs(p)
+
+
+def test_a_negative_coefficient_starts_basic():
+    """-2 x1 = -6 puts x1 at 3.  Row 1's sign is -1, so its row of the start
+    tableau is (signs * [A, diag(signs)])_1 / (signs_1 * a_11): column 1
+    reads 1 and its artificial signs_1 / a_11 = 0.5."""
+    p = lp([1.0, 1.0], [[1.0, 0.0], [1.0, -2.0]], [4.0, -6.0], [0.0, 0.0], [5.0, 5.0])
+    tab = start_of(p)
+    assert tab.basis.tolist() == [2, 1]
+    assert tab.signs.tolist() == [1.0, -1.0]
+    assert tab.x.tolist() == [0.0, 3.0, 4.0, 0.0]
+    assert tab.t[1].tolist() == [-0.5, 1.0, 0.0, 0.5]
+    res = solve_lp(p)
+    assert res.status == "optimal" and res.x.tolist() == [4.0, 5.0]
+
+
+@pytest.mark.parametrize("coef", [PIVOT_TOL, -PIVOT_TOL, 0.5 * PIVOT_TOL])
+def test_a_coefficient_at_or_below_the_pivot_tolerance_is_never_used(coef):
+    """A free column could hold any residual, but not through |a| <= PIVOT_TOL;
+    the next column, with a usable coefficient, takes the row instead."""
+    p = lp([0.0, 0.0], [[coef, 0.0]], [4.0], [-INF, 0.0], [INF, INF])
+    assert start_of(p).basis.tolist() == [2]
+    p = lp([0.0, 0.0, 0.0], [[coef, 2.0, 1.0]], [4.0], [-INF, 0.0, 0.0], [INF, INF, INF])
+    tab = start_of(p)
+    assert tab.basis.tolist() == [1] and tab.x[1] == 2.0
+
+
+def test_sc_opf_limit_rows_start_on_their_slack_where_it_holds_the_residual(fixture10):
+    """Preventive SC-OPF on fixture10: each limit row whose residual
+    limit - off lies in its slack's box [0, 2 limit] starts on that slack,
+    and only those; the balance row and the rest start on their artificial."""
+    (p,) = lps_solved_by(lambda: opf.sc_opf(fixture10))
+    m, n = p.a_eq.shape
+    slack = np.arange(n - (m - 1), n)                   # the slack of limit row 1 + r
+    assert (p.a_eq[1:, slack] == np.eye(m - 1)).all()
+    tab = start_of(p)
+    resid = p.b_eq[1:] - p.a_eq[1:, :n - (m - 1)] @ tab.x[:n - (m - 1)]
+    holds = (resid >= 0.0) & (resid <= p.upper[slack])
+    assert holds.sum() == 129
+    rows = np.arange(1, m)
+    assert (tab.basis[1:] == np.where(holds, slack, n + rows)).all()
+    assert tab.basis[0] == n

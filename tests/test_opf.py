@@ -1,12 +1,14 @@
 """Economic dispatch, security constraints, and the cost-of-security curve."""
 
 import itertools
+import json
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
@@ -24,6 +26,8 @@ from gridctrl.opf import (
     sc_opf,
 )
 from gridctrl.place_cv import run_cv_placement
+from gridctrl.simplex import FEAS_TOL
+from test_cli import _golden
 from test_dcsens import multigraphs
 
 
@@ -340,13 +344,18 @@ def _states(net, contingencies):
         yield state, np.array([ln.limit for ln in state.lines_in_service]), by_bus
 
 
-def highs_opf(net, placements, p_dc_max, contingencies, corrective):
+def highs_opf(net, placements, p_dc_max, contingencies, corrective, widen=False):
     """(status, cost) of the DC OPF or SC-OPF by HiGHS.
 
     Costs are the same piecewise-linear segments as ``opf`` (10 per quadratic
     unit, one per linear unit).  Each limited flow, base and post-outage, is
     two inequality rows, +flow <= limit and -flow <= limit.  A corrective
     outage reads its own HVDC block, every other state the base block.
+
+    With ``widen``, every limit is widened by the simplex's certification
+    band FEAS_TOL * (1 + max |b|), b the right-hand sides of opf's rows: the
+    power balance and each limit - offset.  Phase 1 calls an LP feasible when
+    its artificials sum to at most that band.
     """
     gens = net.generators
     widths, slopes, seg_bus = [], [], []
@@ -376,16 +385,20 @@ def highs_opf(net, placements, p_dc_max, contingencies, corrective):
         finite = np.isfinite(limits)
         rows += [coef[finite], -coef[finite]]
         rhs += [limits[finite] - off[finite], limits[finite] + off[finite]]
+    b_eq = sum(net.load_vector) - sum(g.p_min for g in gens)
+    if widen:
+        band = FEAS_TOL * (1.0 + max([abs(b_eq)] + [np.abs(r).max(initial=0.0)
+                                                     for r in rhs[0::2]]))
+        rhs = [r + band for r in rhs]
     cap = p_dc_max
     if n == 0:                        # nothing to dispatch: balanced and within limits?
-        ok = abs(sum(net.load_vector) - sum(g.p_min for g in gens)) <= 1e-9 and all(
-            np.all(r >= 0.0) for r in rhs)
+        ok = abs(b_eq) <= 1e-9 and all(np.all(r >= 0.0) for r in rhs)
         return ("optimal", sum(g.cost_at(g.p_min) for g in gens)) if ok else ("infeasible", None)
     res = linprog(
         np.concatenate([slopes, np.zeros(n - n_seg)]),
         A_ub=np.vstack(rows), b_ub=np.concatenate(rhs),
         A_eq=np.concatenate([np.ones(n_seg), np.zeros(n - n_seg)])[None, :],
-        b_eq=[sum(net.load_vector) - sum(g.p_min for g in gens)],
+        b_eq=[b_eq],
         bounds=[(0.0, w) for w in widths] + [(-cap, cap)] * (n - n_seg),
         method="highs")
     assert res.status in (0, 2), res.message
@@ -446,6 +459,75 @@ def test_opf_agrees_with_highs(name, mode, flip):
                 assert_point_feasible(net, sol, cap, conts, placements)
 
 
+def _printed(command: str, text: str):
+    """(case name, argv options, printed result) of an opf, sc-opf or
+    cos-curve golden: an object with the OpfSolution fields that
+    ``assert_point_feasible`` reads and ``cost``, or for cos-curve a list of
+    (pair, cos_abs) in count order.  CSV cells carry 12 digits."""
+    name, case, *rest = command.split()
+    opts = {}
+    for flag, value in zip(rest[::2], rest[1::2]):
+        opts.setdefault(flag, []).append(value)
+    if opts["--output"] == ["json"]:
+        doc = json.loads(text)
+        if name == "cos-curve":
+            return case, opts, [(pt["pair"] and tuple(pt["pair"]), pt["cos_abs"]) for pt in doc]
+        return case, opts, SimpleNamespace(
+            status=doc["status"], cost=doc["cost"],
+            p_gen=[d["p_mw"] for d in doc["dispatch"]],
+            flows=[f["flow_mw"] for f in doc["flows"]],
+            hvdc_base=tuple(doc.get("hvdc_base_mw", ())),
+            hvdc_contingency={c["contingency"]: tuple(c["p_mw"])
+                              for c in doc.get("hvdc_contingency_mw", ())})
+    blocks = [[row.split(",") for row in block.splitlines()]
+              for block in text.strip().split("\n\n")]
+    if name == "cos-curve":
+        return case, opts, [((int(m), int(n)) if m else None, float(cos_abs))
+                            for _count, m, n, _pct, cos_abs in blocks[0][1:]]
+    tables = {rows[0][0]: rows[1:] for rows in blocks[1:]}
+    return case, opts, SimpleNamespace(
+        status=blocks[0][0][1], cost=float(blocks[0][1][1]),
+        p_gen=[float(row[2]) for row in tables["gen"]],
+        flows=[float(row[1]) for row in tables["line_id"]],
+        hvdc_base=tuple(float(row[1]) for row in tables.get("hvdc", ())),
+        hvdc_contingency={int(row[0]): tuple(float(v) for v in row[1:] if v)
+                          for row in tables.get("contingency", ())})
+
+
+OPF_GOLDENS = [(command, text) for command, text in _golden()
+               if command.split()[0] in ("opf", "sc-opf", "cos-curve")]
+
+
+@pytest.mark.parametrize("command,text", OPF_GOLDENS, ids=[c for c, _t in OPF_GOLDENS])
+def test_opf_goldens_agree_with_highs(command, text):
+    """Every pinned opf, sc-opf and cos-curve output, JSON and CSV, prints
+    HiGHS's cost on the independently built LP, and a feasible point, so a
+    re-recorded golden cannot pin a wrong one.  A cos-curve point is a
+    difference of two costs, each held to 1e-7 * (1 + |cost|)."""
+    name = command.split()[0]
+    case, opts, printed = _printed(command, text)
+    net = load_case(case)
+    cap = float(opts.get("--pdc-max", ["inf"])[0])
+    conts = [int(c) for c in opts.get("--contingency", [])] or default_contingencies(net)
+    mode = opts.get("--mode", ["corrective" if name == "cos-curve" else "preventive"])[0]
+    if name == "cos-curve":
+        pairs = [pair for pair, _cos in printed[1:]]
+        assert len(printed) == int(opts["--max"][0]) + 1 and printed[0][0] is None
+        for count, (_pair, cos_abs) in enumerate(printed):
+            _status, c_opf = highs_opf(net, pairs[:count], cap, [], False)
+            _status, c_scopf = highs_opf(net, pairs[:count], cap, conts, mode == "corrective")
+            tol = 1e-7 * (2.0 + abs(c_opf) + abs(c_scopf))
+            assert abs(cos_abs - (c_scopf - c_opf)) <= tol, count
+        return
+    placements = [tuple(map(int, pair.split(","))) for pair in opts.get("--place", [])]
+    if name == "opf":
+        conts = []
+    status, cost = highs_opf(net, placements, cap, conts, mode == "corrective")
+    assert printed.status == status == "optimal"
+    assert abs(printed.cost - cost) <= 1e-7 * (1 + abs(cost))
+    assert_point_feasible(net, printed, cap, conts, placements)
+
+
 @st.composite
 def opf_instances(draw):
     """(network, placements, cap, contingencies, mode) on a drawn connected
@@ -493,19 +575,45 @@ def opf_instances(draw):
     return net, placements, cap, conts, mode
 
 
+def _boundary_instance():
+    """Line 1 (bus 1 to 3) is limited to exactly its flow, 10 MW less the
+    4e-7 MW that the path 1-2-3 of two 1.25e7 p.u. lines carries.  Losing
+    line 2 moves that flow onto line 1, past its limit by 4e-7 MW: inside
+    the simplex's certification band, 1e-7 * (1 + 20) here, and past HiGHS's
+    primal feasibility tolerance.  The one unit leaves no redispatch."""
+    x = 1.25e7
+    net = Network(buses=(Bus(1, True), Bus(2), Bus(3)),
+                  lines=(Line(1, 1, 3, 1.0, 10.0 * 2.0 * x / (1.0 + 2.0 * x)),
+                         Line(2, 1, 2, x), Line(3, 2, 3, x)),
+                  generators=(Generator(1, 0.0, 100.0, cost=(0.0, 20.0, 0.0)),),
+                  loads=(Load(3, 10.0),))
+    return net, [], math.inf, [2], "preventive"
+
+
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(instance=opf_instances())
+@example(instance=_boundary_instance())
 def test_opf_agrees_with_highs_on_drawn_grids(instance):
     """Status, cost and a feasible printed point, as on the bundled cases,
-    for hypothesis-drawn grids in all three modes."""
+    for hypothesis-drawn grids in all three modes.
+
+    A limit that sits at its optimal flow can be crossed, after an outage, by
+    less than the certification band.  The simplex then certifies a point
+    that HiGHS, at its tighter tolerance, calls infeasible.  So the statuses
+    may differ there, and only there: HiGHS must then solve the LP with every
+    limit widened by the band, and the printed point must be feasible."""
     net, placements, cap, conts, mode = instance
     if mode == "opf":
         sol = dc_opf(net, placements, p_dc_max=cap)
     else:
         sol = sc_opf(net, placements, contingencies=conts, mode=mode, p_dc_max=cap)
-    status, cost = highs_opf(net, placements, cap, conts, mode == "corrective")
-    assert sol.status == status
-    if status == "optimal":
+    corrective = mode == "corrective"
+    status, cost = highs_opf(net, placements, cap, conts, corrective)
+    if sol.status != status:
+        assert (sol.status, status) == ("optimal", "infeasible")
+        assert highs_opf(net, placements, cap, conts, corrective, widen=True)[0] == "optimal"
+        assert_point_feasible(net, sol, cap, conts, placements)
+    elif status == "optimal":
         assert abs(sol.cost - cost) <= 1e-7 * (1 + abs(cost))
         assert_point_feasible(net, sol, cap, conts, placements)
 

@@ -579,27 +579,18 @@ def start_of(p: LpProblem) -> simplex._Tableau:
 
 @st.composite
 def crash_lps(draw):
-    """small_lps() with rows, or block_lps(), with 1-4 columns appended that
-    each have one integer nonzero in a drawn row, every bound kind and a
-    drawn cost: some fit their row's residual and some do not, and several
-    may share a row."""
+    """small_lps() with rows, or block_lps(), with the columns of another
+    small_lps() draw appended, each with one integer nonzero in a drawn row:
+    some fit their row's residual and some do not, and several may share a
+    row."""
     p = draw(st.one_of(small_lps().filter(lambda p: p.b_eq.size), block_lps()))
-    m, k = p.b_eq.shape[0], draw(st.integers(1, 4))
-
-    def ints(lo, hi):
-        return np.array(draw(st.lists(st.integers(lo, hi), min_size=k, max_size=k)), dtype=float)
-
-    extra = np.zeros((m, k))
-    extra[ints(0, m - 1).astype(int), np.arange(k)] = draw(
-        st.lists(st.sampled_from([-3, -2, -1, 1, 2, 3]), min_size=k, max_size=k))
-    lower = ints(-6, 2)
-    upper = lower + ints(0, 8)
-    kinds = draw(st.lists(st.sampled_from(["box", "lower", "upper", "free"]),
-                          min_size=k, max_size=k))
-    lower[[kind in ("upper", "free") for kind in kinds]] = -INF
-    upper[[kind in ("lower", "free") for kind in kinds]] = INF
-    return lp(np.concatenate([p.c, ints(-3, 3)]), np.hstack([p.a_eq, extra]), p.b_eq,
-              np.concatenate([p.lower, lower]), np.concatenate([p.upper, upper]))
+    extra = draw(small_lps())
+    m, k = p.b_eq.shape[0], extra.c.shape[0]
+    a = np.zeros((m, k))
+    a[draw(st.lists(st.integers(0, m - 1), min_size=k, max_size=k)), np.arange(k)] = draw(
+        st.lists(st.sampled_from([-3.0, -2.0, -1.0, 1.0, 2.0, 3.0]), min_size=k, max_size=k))
+    return lp(np.concatenate([p.c, extra.c]), np.hstack([p.a_eq, a]), p.b_eq,
+              np.concatenate([p.lower, extra.lower]), np.concatenate([p.upper, extra.upper]))
 
 
 @settings(max_examples=300, deadline=None)
